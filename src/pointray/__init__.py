@@ -34,7 +34,6 @@ from .pointing import (
     GoalPoint,
     PointingEstimate,
     estimate_frame,
-    ground_intersection,
     pointing_angles,
     select_pointing_hand,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "estimate_keypoint",
     "frame_to_dict",
     "frame_to_line",
-    "ground_intersection",
     "parse_frame",
     "pointing_angles",
     "project",

@@ -29,6 +29,7 @@ from .roi import KeypointStrategy
 from .reports import (
     angle_cells_heatmap,
     angle_cells_to_csv,
+    format_angle_summary,
     format_goal_table,
     goal_cells_to_csv,
     polar_heatmap_svg,
@@ -349,30 +350,10 @@ def cmd_experiment_a(args) -> int:
             title=f"Mean pointing error ({strategy.value} depth)", unit="deg",
         )
         write_text(outdir / f"heatmap_{strategy.value}.svg", svg)
-    summary = _experiment_a_summary(cells, strategies)
+    summary = format_angle_summary(cells, strategies)
     write_text(outdir / "summary.txt", summary)
     print(summary, end="", file=sys.stderr)
     return EXIT_OK
-
-
-def _experiment_a_summary(cells, strategies) -> str:
-    lines = ["Angular error by range (mean over bearings and directions)", ""]
-    header = f"{'range (m)':>10}" + "".join(f"  {s.value:>10}" for s in strategies)
-    lines.append(header + "      yield (" + "/".join(s.value for s in strategies) + ")")
-    ranges = sorted({c.range_m for c in cells})
-    for r in ranges:
-        row = f"{r:>10.1f}"
-        yields = []
-        for s in strategies:
-            group = [c for c in cells if c.range_m == r and c.strategy == s.value]
-            errs = np.concatenate([c.err_deg for c in group]) if group else np.array([])
-            errs = errs[~np.isnan(errs)]
-            row += f"  {np.mean(errs):>10.2f}" if errs.size else f"  {'n/a':>10}"
-            total = sum(c.frames for c in group)
-            got = sum(c.estimates for c in group)
-            yields.append(f"{got / total:.2f}" if total else "n/a")
-        lines.append(row + "      " + "/".join(yields))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_experiment_b(args) -> int:

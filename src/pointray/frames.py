@@ -64,19 +64,9 @@ class BoundingBox:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.u_min + self.u_max), 0.5 * (self.v_min + self.v_max))
 
-    def contains(self, u: float, v: float) -> bool:
-        return self.u_min <= u <= self.u_max and self.v_min <= v <= self.v_max
-
-    def clamped(self, width: int, height: int) -> "BoundingBox":
-        """Clip the box to image bounds (raises if nothing is left)."""
-        return BoundingBox(
-            max(self.u_min, 0.0),
-            max(self.v_min, 0.0),
-            min(self.u_max, float(width - 1)),
-            min(self.v_max, float(height - 1)),
-            self.label,
-            self.confidence,
-        )
+    def inside(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Mask of the pixels (u, v) that lie in the box, edges included."""
+        return (u >= self.u_min) & (u <= self.u_max) & (v >= self.v_min) & (v <= self.v_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,14 +98,7 @@ class RoiPointSet:
         if arr.shape[0]:
             if not (arr[:, 2] > 0).all():
                 raise FrameFormatError("all depth samples must have z > 0")
-            bb = self.source_bbox
-            inside = (
-                (arr[:, 0] >= bb.u_min)
-                & (arr[:, 0] <= bb.u_max)
-                & (arr[:, 1] >= bb.v_min)
-                & (arr[:, 1] <= bb.v_max)
-            )
-            if not inside.all():
+            if not self.source_bbox.inside(arr[:, 0], arr[:, 1]).all():
                 raise FrameFormatError("depth samples must lie inside their bounding box")
 
     @property
@@ -141,13 +124,7 @@ class RoiPointSet:
         """Rebind to a new bbox, dropping samples that fall outside it."""
         arr = self.samples
         if arr.shape[0]:
-            inside = (
-                (arr[:, 0] >= bbox.u_min)
-                & (arr[:, 0] <= bbox.u_max)
-                & (arr[:, 1] >= bbox.v_min)
-                & (arr[:, 1] <= bbox.v_max)
-            )
-            arr = arr[inside]
+            arr = arr[bbox.inside(arr[:, 0], arr[:, 1])]
         return RoiPointSet(bbox.label, arr, bbox)
 
 
@@ -186,14 +163,7 @@ def _roi_from_dict(obj: dict, label: str, drop_bad_samples: bool) -> RoiPointSet
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise FrameFormatError(f"samples must be [[u, v, z], ...], got shape {arr.shape}")
     if drop_bad_samples and arr.shape[0]:
-        ok = (
-            (arr[:, 2] > 0)
-            & (arr[:, 0] >= bbox.u_min)
-            & (arr[:, 0] <= bbox.u_max)
-            & (arr[:, 1] >= bbox.v_min)
-            & (arr[:, 1] <= bbox.v_max)
-        )
-        arr = arr[ok]
+        arr = arr[(arr[:, 2] > 0) & bbox.inside(arr[:, 0], arr[:, 1])]
     return RoiPointSet(label, arr, bbox)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -81,16 +81,7 @@ class CameraIntrinsics:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-            "camera_height": self.camera_height,
-            "hfov_deg": self.hfov_deg,
-        }
+        return asdict(self)
 
     @classmethod
     def load(cls, path: str | Path) -> "CameraIntrinsics":

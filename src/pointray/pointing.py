@@ -90,13 +90,6 @@ class GoalPoint:
     x: float
     y: float
 
-    @property
-    def z(self) -> float:
-        return 0.0
-
-    def to_point3(self) -> Point3:
-        return Point3(self.x, self.y, 0.0, WORLD_FRAME)
-
 
 @dataclass(frozen=True)
 class FrameResult:
@@ -108,10 +101,6 @@ class FrameResult:
     reason: str | None
 
 
-def _hand_sort_key(bbox: BoundingBox) -> tuple:
-    return (bbox.v_min, -bbox.confidence, bbox.u_min)
-
-
 def select_pointing_hand(hands: Sequence[BoundingBox]) -> BoundingBox:
     """Pick the topmost hand in the image (smallest v_min).
 
@@ -119,7 +108,7 @@ def select_pointing_hand(hands: Sequence[BoundingBox]) -> BoundingBox:
     """
     if not hands:
         raise NoHandError("no hand detections in frame")
-    return min(hands, key=_hand_sort_key)
+    return min(hands, key=lambda b: (b.v_min, -b.confidence, b.u_min))
 
 
 def ray_angles(ray) -> tuple[float, float]:
@@ -163,15 +152,6 @@ def ground_intersection_world(face_kp: Point3, hand_kp: Point3) -> GoalPoint:
     return GoalPoint(face_kp.x - t * p[0], face_kp.y - t * p[1])
 
 
-def ground_intersection(
-    face_kp: Point3, hand_kp: Point3, intr: CameraIntrinsics
-) -> GoalPoint:
-    """Camera-frame convenience wrapper around :func:`ground_intersection_world`."""
-    return ground_intersection_world(
-        camera_to_world(face_kp, intr), camera_to_world(hand_kp, intr)
-    )
-
-
 def _roi_keypoint(
     roi: RoiPointSet,
     strategy: KeypointStrategy,
@@ -203,11 +183,11 @@ def estimate_frame(
         return FrameResult(t, None, None, REASON_NO_FACE)
     if not frame.hands:
         return FrameResult(t, None, None, REASON_NO_HAND)
-    hand_idx = min(range(len(frame.hands)),
-                   key=lambda i: _hand_sort_key(frame.hands[i].source_bbox))
+    hand_bbox = select_pointing_hand([h.source_bbox for h in frame.hands])
+    hand = next(h for h in frame.hands if h.source_bbox is hand_bbox)
     try:
         face_cam = _roi_keypoint(frame.face, strategy, params, intr)
-        hand_cam = _roi_keypoint(frame.hands[hand_idx], strategy, params, intr)
+        hand_cam = _roi_keypoint(hand, strategy, params, intr)
     except EmptyRoiError:
         return FrameResult(t, None, None, REASON_EMPTY_ROI)
     except NoTargetClusterError:

@@ -98,6 +98,27 @@ def goal_cells_to_csv(cells: list[GoalCellResult]) -> str:
     return buf.getvalue()
 
 
+def format_angle_summary(cells: list[AngleCellResult], strategies) -> str:
+    """Experiment A summary: mean angular error and yield per range."""
+    lines = ["Angular error by range (mean over bearings and directions)", ""]
+    header = f"{'range (m)':>10}" + "".join(f"  {s.value:>10}" for s in strategies)
+    lines.append(header + "      yield (" + "/".join(s.value for s in strategies) + ")")
+    ranges = sorted({c.range_m for c in cells})
+    for r in ranges:
+        row = f"{r:>10.1f}"
+        yields = []
+        for s in strategies:
+            group = [c for c in cells if c.range_m == r and c.strategy == s.value]
+            errs = np.concatenate([c.err_deg for c in group]) if group else np.array([])
+            errs = errs[~np.isnan(errs)]
+            row += f"  {np.mean(errs):>10.2f}" if errs.size else f"  {'n/a':>10}"
+            total = sum(c.frames for c in group)
+            got = sum(c.estimates for c in group)
+            yields.append(f"{got / total:.2f}" if total else "n/a")
+        lines.append(row + "      " + "/".join(yields))
+    return "\n".join(lines) + "\n"
+
+
 def format_goal_table(rows: list[GoalSummaryRow], strategy: str) -> str:
     """Goal-error table with the reference hardware figures alongside."""
     reference = {d: (m, s) for d, m, s in REFERENCE_GOAL_ERROR_CM}

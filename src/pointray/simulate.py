@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -155,29 +155,7 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "subject": {
-                "height": self.subject.height,
-                "eye_height": self.subject.eye_height,
-                "shoulder_drop": self.subject.shoulder_drop,
-                "arm_length": self.subject.arm_length,
-            },
-            "positions": [list(p) for p in self.positions],
-            "directions": [list(d) for d in self.directions],
-            "floor_targets": [list(t) for t in self.floor_targets],
-            "frames_per_pose": self.frames_per_pose,
-            "seed": self.seed,
-            "noise": {
-                "sigma0": self.noise.sigma0,
-                "n0": self.noise.n0,
-                "n_min": self.noise.n_min,
-                "p_drop_max": self.noise.p_drop_max,
-                "dropout_start_m": self.noise.dropout_start_m,
-                "dropout_end_m": self.noise.dropout_end_m,
-                "beta": self.noise.beta,
-                "bbox_jitter_px": self.noise.bbox_jitter_px,
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
@@ -354,11 +332,7 @@ def _synthesize_roi(
     us = np.concatenate([us[keep], ub[keep_bg]])
     vs = np.concatenate([vs[keep], vb[keep_bg]])
     zs = np.concatenate([zs[keep], zb[keep_bg]])
-    ok = (
-        (zs > 0)
-        & (us >= bbox.u_min) & (us <= bbox.u_max)
-        & (vs >= bbox.v_min) & (vs <= bbox.v_max)
-    )
+    ok = (zs > 0) & bbox.inside(us, vs)
     samples = np.column_stack([us[ok], vs[ok], zs[ok]])
     return RoiPointSet(label, samples, bbox)
 

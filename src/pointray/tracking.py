@@ -1,13 +1,17 @@
 """Kalman smoothing of detections across frames and the goal commit gate.
 
-The tracker runs one constant-velocity Kalman filter per detection track
-(state: bbox center, size, center velocity). Association is greedy nearest
-neighbor on center distance within a gate radius, separately per label.
+The tracker runs one Kalman filter per detection track: a constant-velocity
+(position, velocity) filter on each bbox center axis and a random walk on
+each bbox size axis, written as closed-form scalar updates. Association is
+greedy nearest neighbor on center distance within a gate radius, separately
+per label.
 
 The goal gate buffers the most recent goal points (30 by default, capped at
 one second of age) and commits their mean once the buffer is full and the
 positional sample-covariance trace falls below a threshold. A flag switches
-the gated quantity to pointing-direction covariance instead.
+the gated quantity to the pointing-direction (pitch, yaw) spread instead,
+with yaw deviations taken around the circular mean so the +/-180 degree
+seam is no blind spot.
 """
 
 from __future__ import annotations
@@ -43,66 +47,66 @@ def association_gate_px(params: TrackerParams, dt: float) -> float:
 
 
 class Track:
-    """One tracked detection; state [cu, cv, w, h, du, dv]."""
+    """One tracked detection: bbox center, center velocity and bbox size.
+
+    H observes center and size, R is isotropic and Q acts on each axis
+    alone, so the constant-velocity filter splits into one (position,
+    velocity) filter per center axis and one random walk per size axis.
+    The covariance never depends on the measurements, and every axis starts
+    from the same prior, so both center axes share one 2x2 covariance
+    ``[[p_pos, p_cross], [p_cross, p_vel]]`` and width and height share the
+    variance ``p_size``.
+    """
 
     def __init__(self, track_id: int, bbox: BoundingBox, params: TrackerParams):
         self.id = track_id
         self.label = bbox.label
         self.confidence = bbox.confidence
         self.misses = 0
-        cu, cv = bbox.center
-        self.state = np.array([cu, cv, bbox.width, bbox.height, 0.0, 0.0])
-        sm2 = params.sigma_meas**2
-        sv2 = params.init_speed_sigma**2
-        self.covariance = np.diag([sm2, sm2, sm2, sm2, sv2, sv2])
+        self.center = np.array(bbox.center)
+        self.velocity = np.zeros(2)
+        self.size = np.array([bbox.width, bbox.height])
+        self.p_pos = self.p_size = params.sigma_meas**2
+        self.p_cross = 0.0
+        self.p_vel = params.init_speed_sigma**2
         self._params = params
 
     def predict(self, dt: float) -> None:
-        p = self._params
-        f = np.eye(6)
-        f[0, 4] = dt
-        f[1, 5] = dt
-        sa2 = p.sigma_accel**2
+        sa2 = self._params.sigma_accel**2
         q_pos = 0.25 * dt**4 * sa2
-        q_cross = 0.5 * dt**3 * sa2
-        q_vel = dt**2 * sa2
-        q = np.zeros((6, 6))
-        for pos, vel in ((0, 4), (1, 5)):
-            q[pos, pos] = q_pos
-            q[pos, vel] = q[vel, pos] = q_cross
-            q[vel, vel] = q_vel
+        self.center = self.center + dt * self.velocity
+        # F P F^T + Q with F = [[1, dt], [0, 1]], white-acceleration Q.
+        self.p_pos += 2.0 * dt * self.p_cross + dt * dt * self.p_vel + q_pos
+        self.p_cross += dt * self.p_vel + 0.5 * dt**3 * sa2
+        self.p_vel += dt**2 * sa2
         # Sizes have no velocity state; a small random walk keeps them adaptive.
-        q[2, 2] = q[3, 3] = q_pos
-        self.state = f @ self.state
-        cov = f @ self.covariance @ f.T + q
-        self.covariance = 0.5 * (cov + cov.T)
+        self.p_size += q_pos
 
     def update(self, bbox: BoundingBox) -> None:
-        p = self._params
-        h = np.zeros((4, 6))
-        h[0, 0] = h[1, 1] = h[2, 2] = h[3, 3] = 1.0
-        r = np.eye(4) * p.sigma_meas**2
-        cu, cv = bbox.center
-        z = np.array([cu, cv, bbox.width, bbox.height])
-        innovation = z - h @ self.state
-        s = h @ self.covariance @ h.T + r
-        gain = self.covariance @ h.T @ np.linalg.inv(s)
-        self.state = self.state + gain @ innovation
-        ikh = np.eye(6) - gain @ h
-        # Joseph form keeps the covariance symmetric PSD under roundoff.
-        cov = ikh @ self.covariance @ ikh.T + gain @ r @ gain.T
-        self.covariance = 0.5 * (cov + cov.T)
+        r = self._params.sigma_meas**2
+        s = self.p_pos + r
+        k_pos = self.p_pos / s
+        k_vel = self.p_cross / s
+        innovation = np.array(bbox.center) - self.center
+        self.center = self.center + k_pos * innovation
+        self.velocity = self.velocity + k_vel * innovation
+        # Joseph form (I - KH) P (I - KH)^T + K R K^T, written out per entry,
+        # keeps the covariance PSD under roundoff.
+        keep = 1.0 - k_pos
+        p_pos, p_cross, p_vel = self.p_pos, self.p_cross, self.p_vel
+        self.p_pos = keep * keep * p_pos + r * k_pos * k_pos
+        self.p_cross = keep * (p_cross - k_vel * p_pos) + r * k_pos * k_vel
+        self.p_vel = p_vel - 2.0 * k_vel * p_cross + k_vel * k_vel * p_pos + r * k_vel * k_vel
+        k_size = self.p_size / (self.p_size + r)
+        self.size = self.size + k_size * (np.array([bbox.width, bbox.height]) - self.size)
+        self.p_size = (1.0 - k_size) ** 2 * self.p_size + r * k_size * k_size
         self.confidence = bbox.confidence
         self.misses = 0
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.state[:2]
-
     def bbox(self) -> BoundingBox:
-        cu, cv, w, h = self.state[:4]
-        w = max(w, 1e-6)
-        h = max(h, 1e-6)
+        cu, cv = self.center
+        w = max(self.size[0], 1e-6)
+        h = max(self.size[1], 1e-6)
         return BoundingBox(
             cu - 0.5 * w, cv - 0.5 * h, cu + 0.5 * w, cv + 0.5 * h,
             self.label, self.confidence,
@@ -157,7 +161,7 @@ class DetectionTracker:
             for track in self.tracks:
                 if track.label != det.label:
                     continue
-                dist = float(np.hypot(track.state[0] - cu, track.state[1] - cv))
+                dist = float(np.hypot(track.center[0] - cu, track.center[1] - cv))
                 if dist <= gate:
                     pairs.append((dist, track.id, rank, track, det_idx))
         pairs.sort(key=lambda p: (p[0], p[1], p[2]))
@@ -282,7 +286,7 @@ class GoalGate:
         else:
             ps = np.array([e.pitch_deg for e in self._entries], dtype=float)
             yws = np.array([e.yaw_deg for e in self._entries], dtype=float)
-            trace = float(np.var(ps, ddof=1) + np.var(yws, ddof=1))
+            trace = float(np.var(ps, ddof=1) + np.var(_yaw_deviations(yws), ddof=1))
             threshold = self.params.tau_angle
         if trace >= threshold:
             return None
@@ -294,6 +298,18 @@ class GoalGate:
         )
         self._entries.clear()
         return commit
+
+
+def _yaw_deviations(yaw_deg: np.ndarray) -> np.ndarray:
+    """Yaw offsets from the circular mean, wrapped into [-180, 180).
+
+    Yaw lives on a circle, so a linear spread would put the +/-180 seam
+    between poses pointing back toward the camera (Mardia & Jupp,
+    *Directional Statistics*).
+    """
+    rad = np.radians(yaw_deg)
+    mean = np.degrees(np.arctan2(np.sin(rad).mean(), np.cos(rad).mean()))
+    return (yaw_deg - mean + 180.0) % 360.0 - 180.0
 
 
 def commit_to_dict(commit: CommittedGoal) -> dict:

@@ -100,12 +100,6 @@ def test_bbox_invariants():
         BoundingBox(0, 0, 5, 20, label="face", confidence=1.5)
 
 
-def test_bbox_clamped():
-    bb = BoundingBox(-10, -5, 700, 500, label="face")
-    c = bb.clamped(640, 480)
-    assert (c.u_min, c.v_min, c.u_max, c.v_max) == (0, 0, 639, 479)
-
-
 def test_roi_sample_validation():
     bb = BoundingBox(0, 0, 10, 10, label="hand")
     with pytest.raises(FrameFormatError):

@@ -6,14 +6,19 @@ import pytest
 
 from oracles import collinearity_residual, ray_plane_oracle
 from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
-from pointray.geometry import CameraIntrinsics, Point3, WORLD_FRAME, world_to_camera
+from pointray.geometry import (
+    CameraIntrinsics,
+    Point3,
+    WORLD_FRAME,
+    camera_to_world,
+    world_to_camera,
+)
 from pointray.pointing import (
     DegenerateDirectionError,
     EstimatorParams,
     NoGroundIntersectionError,
     NoHandError,
     estimate_frame,
-    ground_intersection,
     ground_intersection_world,
     pointing_angles,
     result_to_dict,
@@ -123,17 +128,17 @@ def test_ground_intersection_worked_example():
     goal = ground_intersection_world(face, hand)
     assert goal.x == pytest.approx(0.0, abs=1e-12)
     assert goal.y == pytest.approx(1.2, abs=1e-12)
-    assert goal.z == 0.0
     oracle = ray_plane_oracle((0, 0, 1.6), (0, 0.3, 1.2))
     assert np.allclose([goal.x, goal.y], oracle, atol=1e-12)
 
 
-def test_ground_intersection_camera_frame_wrapper():
+def test_ground_intersection_from_camera_frame():
     intr = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480,
                             camera_height=1.0)
     face_cam = world_to_camera(wp(0.0, 0.0, 1.6), intr)
     hand_cam = world_to_camera(wp(0.0, 0.3, 1.2), intr)
-    goal = ground_intersection(face_cam, hand_cam, intr)
+    goal = ground_intersection_world(camera_to_world(face_cam, intr),
+                                     camera_to_world(hand_cam, intr))
     assert goal.x == pytest.approx(0.0, abs=1e-12)
     assert goal.y == pytest.approx(1.2, abs=1e-12)
 
