@@ -152,12 +152,16 @@ def _roi_from_dict(obj: dict, label: str, drop_bad_samples: bool) -> RoiPointSet
         bbox_vals = obj["bbox"]
         conf = float(obj.get("conf", 1.0))
         raw = obj.get("samples", [])
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise FrameFormatError(f"malformed ROI object: {exc}") from exc
     if not isinstance(bbox_vals, (list, tuple)) or len(bbox_vals) != 4:
         raise FrameFormatError(f"bbox must be [u0, v0, u1, v1], got {bbox_vals!r}")
-    bbox = BoundingBox(*(float(c) for c in bbox_vals), label=label, confidence=conf)
-    arr = np.asarray(raw, dtype=float)
+    try:
+        coords = [float(c) for c in bbox_vals]
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FrameFormatError(f"bbox and samples must be numbers: {exc}") from exc
+    bbox = BoundingBox(*coords, label=label, confidence=conf)
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
@@ -175,13 +179,13 @@ def parse_frame(line: str, *, drop_bad_samples: bool = False) -> DetectionFrame:
     """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # includes json.JSONDecodeError
         raise FrameFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "t" not in obj:
         raise FrameFormatError("frame record must be an object with a 't' field")
     try:
         t = float(obj["t"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FrameFormatError(f"bad timestamp: {obj.get('t')!r}") from exc
     face_obj = obj.get("face")
     face = None if face_obj is None else _roi_from_dict(face_obj, FACE, drop_bad_samples)

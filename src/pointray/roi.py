@@ -12,7 +12,6 @@ centroid plus a depth statistic chosen by :class:`KeypointStrategy`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -85,15 +84,20 @@ def cobb_filter(roi: RoiPointSet, ratio: float = DEFAULT_COBB_RATIO) -> RoiPoint
 def dbscan_depth(
     depths, eps: float, min_pts: int
 ) -> tuple[list[DepthCluster], np.ndarray]:
-    """1-D DBSCAN over depth values.
+    """1-D DBSCAN over depth values, as whole-array operations.
 
     A point is core when at least ``min_pts`` samples (itself included) lie
-    within ``eps`` of it. Core points whose depths differ by at most ``eps``
-    are density-connected; border points join the cluster of the first core
-    point (in input order) that reaches them; everything else is noise.
+    within ``eps`` of it. In sorted order, consecutive core depths that differ
+    by at most ``eps`` are density-connected, so a cluster starts wherever the
+    gap to the previous core exceeds ``eps``. A non-core point joins the
+    cluster of the lowest-input-index core within ``eps`` of it, found as a
+    range minimum over the window of cores it reaches; a point that reaches
+    no core is noise. Core flags, cluster ids and this rule depend on depth
+    values only, not on how equal depths are ordered.
 
-    Returns ``(clusters, noise_indices)``; clusters are ordered by ascending
-    mean depth and each lists its member indices in ascending input order.
+    Returns ``(clusters, noise_indices)``; clusters are ordered by their
+    lowest core depth and each lists its member indices in ascending input
+    order.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -104,55 +108,53 @@ def dbscan_depth(
     if n == 0:
         return [], np.empty(0, dtype=int)
 
-    order = np.argsort(depths, kind="stable")
+    order = depths.argsort()
     zs = depths[order]
-    lo = np.searchsorted(zs, zs - eps, side="left")
-    hi = np.searchsorted(zs, zs + eps, side="right")
-    is_core = (hi - lo) >= min_pts
+    is_core = zs.searchsorted(zs + eps, "right") - zs.searchsorted(zs - eps, "left") >= min_pts
+    core_z = zs[is_core]
+    core_orig = order[is_core]
+    m = core_orig.size
+    # Cluster id per input index: a new cluster starts at each gap > eps
+    # between consecutive sorted cores.
+    labels = np.full(n, -1, dtype=int)
+    labels[core_orig[:1]] = 0
+    labels[core_orig[1:]] = np.cumsum(core_z[1:] - core_z[:-1] > eps)
+    n_clusters = int(labels[core_orig[-1]]) + 1 if m else 0
 
-    labels = np.full(n, -1, dtype=int)  # cluster id per sorted position
-    core_pos = np.flatnonzero(is_core)
-    core_cluster = np.empty(core_pos.size, dtype=int)
-    cid = -1
-    prev_z = None
-    for k, p in enumerate(core_pos):
-        if prev_z is None or zs[p] - prev_z > eps:
-            cid += 1
-        core_cluster[k] = cid
-        labels[p] = cid
-        prev_z = zs[p]
-    n_clusters = cid + 1
+    if 0 < m < n:
+        # Border points: minimum input index over each point's [win_lo, win_hi)
+        # window of sorted cores, from a sparse table of np.minimum levels.
+        # A window may span two clusters, so the minimum is taken over cores,
+        # not per cluster. A non-core point reaches fewer than min_pts cores,
+        # so the table has at most log2(min_pts) + 1 levels.
+        noncore = ~is_core
+        border_z = zs[noncore]
+        win_lo = core_z.searchsorted(border_z - eps, "left")
+        win_hi = core_z.searchsorted(border_z + eps, "right")
+        reached = win_hi > win_lo
+        win_lo, win_hi = win_lo[reached], win_hi[reached]
+        level = np.frexp(win_hi - win_lo)[1] - 1  # floor(log2(window length))
+        # table[k, i] = min(core_orig[i : i + 2**k]); the tail of each level,
+        # where that slice would run past the last core, is never read.
+        table = np.empty((int(level.max(initial=0)) + 1, m), dtype=core_orig.dtype)
+        table[0] = core_orig
+        for k in range(1, table.shape[0]):
+            half = 1 << (k - 1)
+            width = m - 2 * half + 1
+            table[k, :width] = np.minimum(table[k - 1, :width], table[k - 1, half : half + width])
+        first_core = np.minimum(table[level, win_lo], table[level, win_hi - (1 << level)])
+        labels[order[noncore][reached]] = labels[first_core]
 
-    if core_pos.size and core_pos.size < n:
-        # Border points: sliding-window minimum of the cores' input indexes.
-        core_z = zs[core_pos]
-        core_orig = order[core_pos]
-        noncore_pos = np.flatnonzero(~is_core)
-        win_lo = np.searchsorted(core_z, zs[noncore_pos] - eps, side="left")
-        win_hi = np.searchsorted(core_z, zs[noncore_pos] + eps, side="right")
-        candidates: deque[int] = deque()
-        pushed = 0
-        for i, p in enumerate(noncore_pos):
-            while pushed < win_hi[i]:
-                while candidates and core_orig[candidates[-1]] >= core_orig[pushed]:
-                    candidates.pop()
-                candidates.append(pushed)
-                pushed += 1
-            while candidates and candidates[0] < win_lo[i]:
-                candidates.popleft()
-            if candidates:
-                labels[p] = core_cluster[candidates[0]]
-
-    orig_labels = np.empty(n, dtype=int)
-    orig_labels[order] = labels
+    # One stable sort groups members by cluster, in ascending input order.
+    by_label = labels.argsort(kind="stable")
+    ends = labels[by_label].searchsorted(np.arange(-1, n_clusters), "right")
     clusters = []
     for c in range(n_clusters):
-        members = np.flatnonzero(orig_labels == c)
+        members = by_label[ends[c] : ends[c + 1]]
         clusters.append(
             DepthCluster(member_indices=members, mean_depth=float(depths[members].mean()))
         )
-    noise = np.flatnonzero(orig_labels == -1)
-    return clusters, noise
+    return clusters, by_label[: ends[0]]
 
 
 def select_target_cluster(clusters: list[DepthCluster]) -> DepthCluster:

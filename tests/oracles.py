@@ -7,7 +7,32 @@ solver, and a textbook 2-state Kalman filter with its Riccati fixed point.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def _dbscan_components(depths, eps: float, min_pts: int):
+    """Adjacency, core flags and core component ids (-1 off core), by brute force."""
+    z = np.asarray(depths, dtype=float).ravel()
+    n = z.size
+    adj = np.abs(z[:, None] - z[None, :]) <= eps  # includes self
+    core = adj.sum(axis=1) >= min_pts
+
+    # Connected components over core-core edges, one breadth-first frontier
+    # at a time.
+    assigned = np.full(n, -1, dtype=int)
+    cid = 0
+    for i in range(n):
+        if not core[i] or assigned[i] >= 0:
+            continue
+        frontier = np.zeros(n, dtype=bool)
+        frontier[i] = True
+        while frontier.any():
+            assigned[frontier] = cid
+            frontier = adj[frontier].any(axis=0) & core & (assigned < 0)
+        cid += 1
+    return z, adj, core, assigned, cid
 
 
 def dbscan_reference(depths, eps: float, min_pts: int):
@@ -17,35 +42,34 @@ def dbscan_reference(depths, eps: float, min_pts: int):
     is a frozenset of frozensets of *core* indices (one per cluster) and
     ``noise_set`` holds the indices unreachable from any core point.
     """
-    z = np.asarray(depths, dtype=float).ravel()
-    n = z.size
-    if n == 0:
-        return np.zeros(0, dtype=bool), frozenset(), frozenset()
-    adj = np.abs(z[:, None] - z[None, :]) <= eps  # includes self
-    core = adj.sum(axis=1) >= min_pts
-
-    # Connected components over core-core edges.
-    assigned = np.full(n, -1, dtype=int)
-    cid = 0
-    for i in range(n):
-        if not core[i] or assigned[i] >= 0:
-            continue
-        stack = [i]
-        assigned[i] = cid
-        while stack:
-            j = stack.pop()
-            for k in np.flatnonzero(adj[j] & core):
-                if assigned[k] < 0:
-                    assigned[k] = cid
-                    stack.append(int(k))
-        cid += 1
-
+    z, adj, core, assigned, n_clusters = _dbscan_components(depths, eps, min_pts)
     clusters = frozenset(
-        frozenset(np.flatnonzero(core & (assigned == c)).tolist()) for c in range(cid)
+        frozenset(np.flatnonzero(core & (assigned == c)).tolist()) for c in range(n_clusters)
     )
-    reachable = adj[:, core].any(axis=1) if core.any() else np.zeros(n, dtype=bool)
+    reachable = adj[:, core].any(axis=1) if core.any() else np.zeros(z.size, dtype=bool)
     noise = frozenset(np.flatnonzero(~core & ~reachable).tolist())
     return core, clusters, noise
+
+
+def dbscan_reference_members(depths, eps: float, min_pts: int):
+    """Naive O(n^2) DBSCAN with border points assigned, over 1-D values.
+
+    A non-core point within ``eps`` of some core joins the component of the
+    lowest-index core within ``eps`` of it. Returns ``(clusters, noise_set)``
+    where ``clusters`` maps each cluster's full member set (cores and border
+    points) to the mean of its depths, summed exactly by ``math.fsum``.
+    """
+    z, adj, core, assigned, n_clusters = _dbscan_components(depths, eps, min_pts)
+    labels = assigned.copy()
+    for i in np.flatnonzero(~core):
+        reaching = np.flatnonzero(adj[i] & core)
+        if reaching.size:
+            labels[i] = assigned[reaching.min()]
+    clusters = {}
+    for c in range(n_clusters):
+        members = np.flatnonzero(labels == c)
+        clusters[frozenset(members.tolist())] = math.fsum(z[members].tolist()) / members.size
+    return clusters, frozenset(np.flatnonzero(labels < 0).tolist())
 
 
 def ray_plane_oracle(face_world, hand_world):

@@ -80,6 +80,26 @@ def test_estimate_skips_corrupted_line(noiseless_log, tmp_path, capsys):
     assert len(read_jsonl(out)) == len(lines) - 1
 
 
+def test_estimate_skips_non_numeric_and_ragged_lines(noiseless_log, tmp_path, capsys):
+    lines = Path(noiseless_log).read_text().splitlines()
+    face = {"bbox": [0, 0, 10, 10], "conf": 0.9, "samples": [[5, 5, 1]]}
+    bad = [
+        dict(face, conf="high"),
+        dict(face, bbox=[0, "x", 10, 10]),
+        dict(face, samples=[["a", 5, 1]]),
+        dict(face, samples=[[5, 5], [5, 5, 1]]),
+    ]
+    # timestamps fall between the first two frames, so only the content is at fault
+    lines[1:1] = [json.dumps({"t": 1e-6 * (i + 1), "face": roi}) for i, roi in enumerate(bad)]
+    src = tmp_path / "bad.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["estimate", "-i", str(src), "-o", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "skipped: 4" in err
+    assert len(read_jsonl(out)) == len(lines) - 4
+
+
 def test_estimate_stdin_stdout(noiseless_log, capsys, monkeypatch):
     text = Path(noiseless_log).read_text()
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

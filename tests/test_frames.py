@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointray.frames import (
     BoundingBox,
@@ -124,3 +126,77 @@ def test_roi_with_bbox_drops_outsiders():
     rebound = roi.with_bbox(newbb)
     assert len(rebound) == 1
     assert rebound.source_bbox == newbb
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _rois(draw, label):
+    u0, v0 = draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))
+    w, h = draw(st.floats(1.0, 1e3)), draw(st.floats(1.0, 1e3))
+    bbox = BoundingBox(u0, v0, u0 + w, v0 + h, label=label, confidence=draw(_unit))
+    rows = draw(st.lists(
+        st.tuples(_unit, _unit, st.floats(0.0, 1e3, exclude_min=True)), max_size=8
+    ))
+    samples = [(u0 + fu * w, v0 + fv * h, z) for fu, fv, z in rows]
+    return RoiPointSet(label, np.array(samples, dtype=float).reshape(-1, 3), bbox)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    t=st.floats(allow_nan=False, allow_infinity=False),
+    face=st.none() | _rois("face"),
+    hands=st.lists(_rois("hand"), max_size=3),
+)
+def test_parse_frame_round_trips_frame_to_line(t, face, hands):
+    back = parse_frame(frame_to_line(DetectionFrame(t, face, tuple(hands))))
+    assert back.timestamp == t
+    assert (back.face is None) == (face is None)
+    assert len(back.hands) == len(hands)
+    for got, want in zip((back.face, *back.hands), (face, *hands)):
+        if want is not None:
+            assert got.source_bbox == want.source_bbox  # coordinates, label and confidence
+            assert np.array_equal(got.samples, want.samples)
+
+
+_scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_json = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+_roi_like = st.fixed_dictionaries(
+    {},
+    optional={
+        "bbox": st.lists(_scalar | st.floats(0, 50), min_size=3, max_size=5) | _json,
+        "conf": _scalar,
+        "samples": st.lists(st.lists(_scalar | st.floats(0, 50), max_size=4), max_size=4) | _json,
+    },
+)
+_frame_like = st.fixed_dictionaries(
+    {},
+    optional={
+        "t": _scalar,
+        "face": _roi_like | _json,
+        "hands": st.lists(_roi_like | _json, max_size=3) | _json,
+    },
+)
+_line = (
+    st.builds(json.dumps, _frame_like | _json)
+    | st.tuples(st.builds(json.dumps, _frame_like), st.integers(0, 200)).map(lambda p: p[0][: p[1]])
+    | st.text(max_size=20)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=st.lists(_line, max_size=6))
+def test_read_frames_skip_mode_never_raises(lines):
+    skipped = []
+    frames = list(read_frames(lines, errors="skip", on_skip=lambda n, m: skipped.append(n)))
+    assert all(isinstance(f, DetectionFrame) for f in frames)
+    assert len(frames) + len(skipped) == sum(1 for line in lines if line.strip())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dbscan_reference
+from oracles import dbscan_reference, dbscan_reference_members
 from pointray.frames import BoundingBox, RoiPointSet
 from pointray.geometry import deproject, DepthSample
 from pointray.roi import (
@@ -141,6 +141,16 @@ def test_dbscan_border_point_takes_first_core_in_input_order():
     assert 0 in owner[0].member_indices.tolist()
 
 
+def assert_dbscan_matches_reference(depths, eps, min_pts):
+    clusters, noise = dbscan_depth(depths, eps, min_pts)
+    ref_clusters, ref_noise = dbscan_reference_members(depths, eps, min_pts)
+    assert frozenset(noise.tolist()) == ref_noise
+    got = {frozenset(c.member_indices.tolist()): c.mean_depth for c in clusters}
+    assert got.keys() == ref_clusters.keys()
+    for members, mean in ref_clusters.items():
+        assert got[members] == pytest.approx(mean, rel=1e-12)
+
+
 def test_dbscan_matches_reference_on_random_instances():
     rng = np.random.default_rng(17)
     for _ in range(500):
@@ -150,15 +160,41 @@ def test_dbscan_matches_reference_on_random_instances():
             depths = np.round(depths * 4) / 4 + rng.normal(0, 0.01, n)
         eps = float(rng.uniform(0.02, 0.5))
         min_pts = int(rng.integers(1, 6))
-        clusters, noise = dbscan_depth(depths, eps, min_pts)
-        core_ref, clusters_ref, noise_ref = dbscan_reference(depths, eps, min_pts)
-        assert frozenset(noise.tolist()) == noise_ref
-        # compare partitions of the core points, labels ignored
-        got_cores = frozenset(
-            frozenset(i for i in c.member_indices.tolist() if core_ref[i])
-            for c in clusters
-        )
-        assert got_cores == clusters_ref
+        assert_dbscan_matches_reference(depths, eps, min_pts)
+
+
+def test_dbscan_border_points_match_reference_on_large_instances():
+    # Two slabs 2 eps wide, 0.75-0.95 eps apart, with sparse samples in the
+    # gap and clutter around them. min_pts is 1.3-1.45x the density at a slab
+    # edge, so each slab's outer fifth is border and the gap samples are
+    # border points within eps of cores of both clusters. Up to ~2,800
+    # samples give core windows of hundreds, which use the deeper
+    # range-minimum levels; rounding to 1 cm adds ties.
+    rng = np.random.default_rng(31)
+    spanning = 0
+    for trial in range(16):
+        eps = float(rng.uniform(0.05, 0.3))
+        density = int(rng.integers(20, 700))  # samples per eps of slab
+        gap = float(rng.uniform(0.75, 0.95))
+        depths = float(rng.uniform(0.5, 4.0)) + eps * np.concatenate([
+            rng.uniform(0.0, 2.0, 2 * density),
+            rng.uniform(2.0 + gap, 4.0 + gap, 2 * density),
+            rng.uniform(2.0, 2.0 + gap, int(rng.integers(5, 40))),
+            rng.uniform(-3.0, 8.0, int(rng.integers(0, 100))),
+        ])
+        depths = rng.permutation(depths)
+        if trial % 2:
+            depths = np.round(depths, 2)
+        min_pts = int(density * rng.uniform(1.3, 1.45))
+        assert_dbscan_matches_reference(depths, eps, min_pts)
+
+        core, core_sets, _ = dbscan_reference(depths, eps, min_pts)
+        cluster_of = np.full(depths.size, -1)
+        for c, members in enumerate(core_sets):
+            cluster_of[list(members)] = c
+        for z in depths[~core]:
+            spanning += np.unique(cluster_of[core & (np.abs(depths - z) <= eps)]).size > 1
+    assert spanning >= 50
 
 
 def test_dbscan_core_and_noise_order_independent():
