@@ -61,6 +61,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
+# estimate prints a warning for the first this many skipped lines, then
+# one line with the count of the rest
+SKIP_WARNINGS_SHOWN = 10
+
 
 class UsageError(Exception):
     pass
@@ -233,7 +237,8 @@ def cmd_estimate(args) -> int:
     def on_skip(line_no: int, message: str) -> None:
         nonlocal skipped
         skipped += 1
-        print(f"warning: line {line_no} skipped: {message}", file=sys.stderr)
+        if skipped <= SKIP_WARNINGS_SHOWN:
+            print(f"warning: line {line_no} skipped: {message}", file=sys.stderr)
 
     out, close_out = _open_out(args.output)
     frames = 0
@@ -269,6 +274,11 @@ def cmd_estimate(args) -> int:
             lines.close()
     elapsed = time.perf_counter() - start
     fps = frames / elapsed if elapsed > 0 else float("inf")
+    if skipped > SKIP_WARNINGS_SHOWN:
+        print(
+            f"warning: {skipped - SKIP_WARNINGS_SHOWN} more lines skipped (not shown)",
+            file=sys.stderr,
+        )
     print(
         f"frames: {frames}  estimates: {estimates}  yield: {estimates}/{frames}"
         f"  skipped: {skipped}  commits: {commits}  fps: {fps:.0f}",

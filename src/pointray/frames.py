@@ -8,6 +8,10 @@ One log line per frame::
 
 Depth samples carry pixel coordinates and depth in meters; invalid depth is
 never encoded (no zero sentinels), it is simply absent from ``samples``.
+``t``, the bbox coordinates, ``conf`` and the sample values are JSON numbers.
+
+Lines are decoded with ``orjson`` when it is installed and with the stdlib
+``json`` otherwise; every line gets the same outcome either way.
 """
 
 from __future__ import annotations
@@ -19,8 +23,25 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+try:
+    import orjson
+except ImportError:  # optional: without it every line takes the stdlib path
+    orjson = None
+
 FACE = "face"
 HAND = "hand"
+
+# Lines nested deeper than this are left to the stdlib decoder. orjson 3.8
+# recurses without a depth limit and overflows the C stack (tens of thousands
+# of levels in an 8 MB stack, fewer in a thread), while the stdlib raises
+# RecursionError near the interpreter's recursion limit (1,000 by default);
+# below this depth both decode.
+_FAST_DECODE_MAX_DEPTH = 512
+# the bytes bytes.translate deletes so that only quotes and brackets remain
+_NOT_STRUCTURE = bytes(range(256)).translate(None, b'"[]{}')
+_DEPTH_STEP = np.zeros(256, dtype=np.int8)
+_DEPTH_STEP[[ord("["), ord("{")]] = 1
+_DEPTH_STEP[[ord("]"), ord("}")]] = -1
 
 
 class FrameFormatError(ValueError):
@@ -147,21 +168,49 @@ class DetectionFrame:
                 raise FrameFormatError("hands slot must hold hand-labelled ROIs")
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if type(value) not in (int, float):
+        raise FrameFormatError(f"{what} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FrameFormatError(f"{what} is out of range: {exc}") from exc
+
+
+def _sample_array(raw) -> np.ndarray:
+    """Float array of a decoded ``samples`` value.
+
+    Strings and all-boolean arrays are rejected; a boolean among numbers is
+    coerced, since checking every element would cost more than decoding.
+    Integers beyond 64 bits (``int`` from the stdlib, ``float`` from orjson)
+    make an object array, checked for strings so both decoders agree.
+    """
+    try:
+        arr = np.asarray(raw)
+    except ValueError as exc:  # ragged rows
+        raise FrameFormatError(f"samples must be [[u, v, z], ...]: {exc}") from exc
+    kind = arr.dtype.kind
+    if kind in "USb" or (kind == "O" and any(type(x) is str for x in arr.flat)):
+        raise FrameFormatError(f"samples must be numbers, got {arr.dtype.name} values")
+    try:
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FrameFormatError(f"samples must be numbers: {exc}") from exc
+
+
 def _roi_from_dict(obj: dict, label: str, drop_bad_samples: bool) -> RoiPointSet:
     try:
         bbox_vals = obj["bbox"]
-        conf = float(obj.get("conf", 1.0))
+        conf = obj.get("conf", 1.0)
         raw = obj.get("samples", [])
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+    except (TypeError, KeyError) as exc:
         raise FrameFormatError(f"malformed ROI object: {exc}") from exc
     if not isinstance(bbox_vals, (list, tuple)) or len(bbox_vals) != 4:
         raise FrameFormatError(f"bbox must be [u0, v0, u1, v1], got {bbox_vals!r}")
-    try:
-        coords = [float(c) for c in bbox_vals]
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FrameFormatError(f"bbox and samples must be numbers: {exc}") from exc
-    bbox = BoundingBox(*coords, label=label, confidence=conf)
+    coords = [_number(c, "bbox coordinate") for c in bbox_vals]
+    bbox = BoundingBox(*coords, label=label, confidence=_number(conf, "conf"))
+    arr = _sample_array(raw)
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
@@ -171,6 +220,34 @@ def _roi_from_dict(obj: dict, label: str, drop_bad_samples: bool) -> RoiPointSet
     return RoiPointSet(label, arr, bbox)
 
 
+def _nesting_depth(line: str) -> int:
+    """Deepest array/object nesting of a JSON text that holds no backslash.
+
+    Without escapes every quote opens or closes a string, so the brackets
+    between quote pairs are the structure.
+    """
+    marks = line.encode().translate(None, _NOT_STRUCTURE)
+    structure = np.frombuffer(b"".join(marks.split(b'"')[::2]), dtype=np.uint8)
+    return int(np.cumsum(_DEPTH_STEP[structure]).max(initial=0))
+
+
+def _decode(line: str):
+    """``json.loads(line)``, computed by orjson where the two agree.
+
+    orjson refuses what the stdlib reads leniently (``NaN``, ``Infinity``,
+    numbers beyond the float range, lone surrogates); those lines, lines
+    with escapes (so the depth scan needs no string parser) and deeply
+    nested lines are decoded by the stdlib, which also words the error.
+    """
+    if orjson is not None and "\\" not in line:
+        try:
+            if _nesting_depth(line) <= _FAST_DECODE_MAX_DEPTH:
+                return orjson.loads(line)
+        except (UnicodeEncodeError, orjson.JSONDecodeError):
+            pass
+    return json.loads(line)
+
+
 def parse_frame(line: str, *, drop_bad_samples: bool = False) -> DetectionFrame:
     """Parse one JSON log line into a DetectionFrame.
 
@@ -178,15 +255,12 @@ def parse_frame(line: str, *, drop_bad_samples: bool = False) -> DetectionFrame:
     non-positive depth or outside their bbox instead of rejecting the frame.
     """
     try:
-        obj = json.loads(line)
+        obj = _decode(line)
     except (ValueError, RecursionError) as exc:  # includes json.JSONDecodeError
         raise FrameFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "t" not in obj:
         raise FrameFormatError("frame record must be an object with a 't' field")
-    try:
-        t = float(obj["t"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FrameFormatError(f"bad timestamp: {obj.get('t')!r}") from exc
+    t = _number(obj["t"], "timestamp")
     face_obj = obj.get("face")
     face = None if face_obj is None else _roi_from_dict(face_obj, FACE, drop_bad_samples)
     hands_obj = obj.get("hands", [])

@@ -100,6 +100,34 @@ def test_estimate_skips_non_numeric_and_ragged_lines(noiseless_log, tmp_path, ca
     assert len(read_jsonl(out)) == len(lines) - 4
 
 
+def test_estimate_skips_strings_and_booleans_as_numbers(noiseless_log, tmp_path, capsys):
+    lines = Path(noiseless_log).read_text().splitlines()
+    # a float() coercion reads this as t 0.5, bbox (0, 1, 10, 10), confidence 1.0
+    found = '{"t":"0.5","face":{"bbox":["0",true,"10",10],"conf":true,"samples":[["5",5,"1"]]}}'
+    src = tmp_path / "bad.jsonl"
+    src.write_text("\n".join([found] + lines) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["estimate", "-i", str(src), "-o", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "warning: line 1 skipped: timestamp must be a number" in err
+    assert "skipped: 1" in err
+    assert len(read_jsonl(out)) == len(lines)
+
+
+def test_estimate_bounds_skip_warnings(noiseless_log, tmp_path, capsys):
+    lines = Path(noiseless_log).read_text().splitlines()
+    src = tmp_path / "bad.jsonl"
+    src.write_text("\n".join(["{corrupted"] * 25 + lines) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["estimate", "-i", str(src), "-o", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    shown = [line for line in err if line.startswith("warning: line ")]
+    assert [line.split()[2] for line in shown] == [str(n) for n in range(1, 11)]
+    assert "warning: 15 more lines skipped (not shown)" in err
+    assert "skipped: 25" in err[-1]
+    assert len(read_jsonl(out)) == len(lines)
+
+
 def test_estimate_stdin_stdout(noiseless_log, capsys, monkeypatch):
     text = Path(noiseless_log).read_text()
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

@@ -1,10 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointray import frames
 from pointray.frames import (
     BoundingBox,
     DetectionFrame,
@@ -200,3 +202,124 @@ def test_read_frames_skip_mode_never_raises(lines):
     frames = list(read_frames(lines, errors="skip", on_skip=lambda n, m: skipped.append(n)))
     assert all(isinstance(f, DetectionFrame) for f in frames)
     assert len(frames) + len(skipped) == sum(1 for line in lines if line.strip())
+
+
+# ---------------------------------------------------------------------------
+# Number schema and the two decoders
+# ---------------------------------------------------------------------------
+
+_FACE = '"face":{"bbox":[0,0,10,10],"conf":0.9,"samples":[[5,5,1]]}'
+
+
+@pytest.fixture(params=["orjson", "json"])
+def decoder(request, monkeypatch):
+    """Run the test once with orjson decoding and once with the stdlib alone."""
+    if request.param == "orjson":
+        pytest.importorskip("orjson")
+    else:
+        monkeypatch.setattr(frames, "orjson", None)
+    return request.param
+
+
+@pytest.mark.parametrize("line", [
+    '{"t":"0.5",%s}' % _FACE,
+    '{"t":true,%s}' % _FACE,
+    '{"t":0,"face":{"bbox":["0",0,10,10],"samples":[]}}',
+    '{"t":0,"face":{"bbox":[0,true,10,10],"samples":[]}}',
+    '{"t":0,"face":{"bbox":[0,0,10,10],"conf":true,"samples":[]}}',
+    '{"t":0,"face":{"bbox":[0,0,10,10],"conf":"0.9","samples":[]}}',
+    '{"t":0,"face":{"bbox":[0,0,10,10],"samples":[["5",5,"1"]]}}',
+    '{"t":0,"face":{"bbox":[0,0,10,10],"samples":[[true,true,true]]}}',
+    '{"t":0,"face":{"bbox":[0,0,1e21,10],"samples":[[100000000000000000000,"5",1]]}}',
+    '{"t":0,"face":{"bbox":[0,0,10,10],"samples":[[5,5,%s]]}}' % ("9" * 400),  # overflows
+])
+def test_parse_rejects_strings_booleans_and_overflowing_numbers(line, decoder):
+    with pytest.raises(FrameFormatError):
+        parse_frame(line)
+
+
+@pytest.mark.parametrize("big", ["1e20", "100000000000000000000"])
+def test_parse_accepts_integers_beyond_64_bits(big, decoder):
+    line = '{"t":0,"face":{"bbox":[0,0,1e21,10],"samples":[[%s,1,2]]}}' % big
+    assert parse_frame(line).face.samples.tolist() == [[1e20, 1.0, 2.0]]
+
+
+# each step nests two levels: the first depth passes the recursion limit, and
+# orjson 3.8 overflows the C stack on the second
+@pytest.mark.parametrize("depth", [sys.getrecursionlimit() // 2 + 100, 100_000])
+@pytest.mark.parametrize("member", ['"s":"a",', '"s":"\\"",'])  # the second escapes a quote
+def test_parse_nesting_beyond_the_recursion_limit_is_a_format_error(depth, member, decoder):
+    line = '{"t":0,%s"x":' % member + '[{"a":' * depth + "0" + "}]" * depth + "}"
+    with pytest.raises(FrameFormatError):
+        parse_frame(line)
+
+
+_ODD_NUMBER = st.sampled_from([
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "-0", "-0.0",
+    "true", "false", "null", '"5"', '"\\ud800"', '"\ud800"', "[]", "{}",
+]) | st.builds(
+    lambda digits, lead, sign: sign + str(lead) * digits,
+    st.sampled_from([19, 25, 309, 400, 4300]), st.integers(1, 9), st.sampled_from(["", "-"]),
+)
+
+
+@st.composite
+def _number_text(draw, value):
+    if draw(st.integers(0, 15)) == 0:
+        return draw(_ODD_NUMBER)
+    return draw(st.sampled_from(["%r", "%.17g", "%.12g", "%.20e", "%d"])) % value
+
+
+@st.composite
+def _roi_text(draw):
+    u0, v0 = draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))
+    w, h = draw(st.floats(1.0, 1e3)), draw(st.floats(1.0, 1e3))
+    rows = draw(st.lists(
+        st.tuples(_unit, _unit, st.floats(0.0, 1e3, exclude_min=True)), max_size=4
+    ))
+    bbox = ",".join(draw(_number_text(c)) for c in (u0, v0, u0 + w, v0 + h))
+    samples = ",".join(
+        "[%s]" % ",".join(draw(_number_text(c)) for c in (u0 + fu * w, v0 + fv * h, z))
+        for fu, fv, z in rows
+    )
+    return '{"bbox":[%s],"conf":%s,"samples":[%s]}' % (bbox, draw(_number_text(draw(_unit))), samples)
+
+
+_EXTRA_MEMBER = st.sampled_from([
+    "", ',"t":0.25', ',"face":null', ',"\\u0074":1.5', ',"s":"\\ud800"', ',"s":"\ud800"',
+    ',"x":' + "[" * 600 + "]" * 600, ',"x":' + "[" * 1100 + "]" * 1100,
+    ',"x":' + '{"a":' * 1100 + "0" + "}" * 1100,
+])
+
+
+@st.composite
+def _frame_text(draw):
+    t = draw(_number_text(draw(st.floats(-1e6, 1e6))))
+    face = draw(st.just("null") | _roi_text())
+    hands = ",".join(draw(st.lists(_roi_text(), max_size=2)))
+    line = '{"t":%s,"face":%s,"hands":[%s]%s}' % (t, face, hands, draw(_EXTRA_MEMBER))
+    return line[:-1] if draw(st.integers(0, 9)) == 0 else line
+
+
+def _outcome(line, drop_bad_samples):
+    try:
+        frame = parse_frame(line, drop_bad_samples=drop_bad_samples)
+    except FrameFormatError:
+        return None
+    rois = [r for r in (frame.face, *frame.hands) if r is not None]
+    return (
+        repr(frame.timestamp),
+        frame.face is None,
+        [(repr(r.source_bbox), r.samples.shape, r.samples.tobytes()) for r in rois],
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=st.tuples(_frame_text(), _line))
+def test_orjson_and_stdlib_decoding_give_the_same_outcome(lines):
+    pytest.importorskip("orjson")
+    fast = [_outcome(line, drop) for line in lines for drop in (False, True)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frames, "orjson", None)
+        slow = [_outcome(line, drop) for line in lines for drop in (False, True)]
+    assert fast == slow

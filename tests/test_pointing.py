@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import collinearity_residual, ray_plane_oracle
 from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
@@ -285,6 +287,34 @@ def test_estimate_frame_deterministic(intr):
     r1 = estimate_frame(frame, KeypointStrategy.MEAN_DEPTH, PARAMS, intr)
     r2 = estimate_frame(frame, KeypointStrategy.MEAN_DEPTH, PARAMS, intr)
     assert result_to_line(r1) == result_to_line(r2)
+
+
+_hand_box = st.tuples(
+    st.integers(150, 420),                   # u_min
+    st.sampled_from([200.0, 250.0, 300.0]),  # v_min, often tied
+    st.sampled_from([0.5, 0.9]),             # confidence, often tied
+    st.floats(0.8, 2.5),                     # depth
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    boxes=st.lists(_hand_box, min_size=1, max_size=4, unique_by=lambda b: (b[1], -b[2], b[0])),
+    data=st.data(),
+)
+def test_estimate_frame_does_not_depend_on_hand_order(boxes, data, intr):
+    hands = [
+        RoiPointSet("hand", np.array([[u + 25, v + 25, z], [u + 26, v + 26, z]]),
+                    bbox(u, v, u + 50, v + 50, conf=c))
+        for u, v, c, z in boxes
+    ]
+    order = data.draw(st.permutations(range(len(hands))))
+    results = [
+        result_to_line(estimate_frame(DetectionFrame(0.5, face_roi(), tuple(hs)),
+                                      KeypointStrategy.MEAN_DEPTH, PARAMS, intr))
+        for hs in (hands, [hands[i] for i in order])
+    ]
+    assert results[0] == results[1]
 
 
 def test_estimator_params_validation():
