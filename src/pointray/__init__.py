@@ -20,13 +20,9 @@ from .frames import (
 )
 from .geometry import (
     CameraIntrinsics,
-    DepthSample,
-    Point3,
-    camera_to_world,
     default_intrinsics,
     deproject,
     project,
-    world_to_camera,
 )
 from .pointing import (
     EstimatorParams,
@@ -63,7 +59,6 @@ __all__ = [
     "BoundingBox",
     "CameraIntrinsics",
     "DepthCluster",
-    "DepthSample",
     "DetectionFrame",
     "DetectionTracker",
     "EstimatorParams",
@@ -75,14 +70,12 @@ __all__ = [
     "GroundTruth",
     "KeypointStrategy",
     "NoiseModel",
-    "Point3",
     "PointingEstimate",
     "RoiPointSet",
     "Scenario",
     "StreamOrderError",
     "SubjectModel",
     "TrackerParams",
-    "camera_to_world",
     "cobb_filter",
     "dbscan_depth",
     "default_intrinsics",
@@ -101,6 +94,5 @@ __all__ = [
     "select_pointing_hand",
     "select_target_cluster",
     "synthesize_frame",
-    "world_to_camera",
     "__version__",
 ]

@@ -25,7 +25,12 @@ from . import __version__
 from .frames import DetectionFrame, frame_to_line, read_frames
 from .geometry import CameraIntrinsics, default_intrinsics
 from .pointing import EstimatorParams, estimate_frame, result_to_line
-from .roi import KeypointStrategy
+from .roi import (
+    DEFAULT_COBB_RATIO,
+    DEFAULT_DBSCAN_EPS,
+    DEFAULT_DBSCAN_MIN_PTS,
+    KeypointStrategy,
+)
 from .reports import (
     angle_cells_heatmap,
     angle_cells_to_csv,
@@ -86,12 +91,12 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
         choices=[s.value for s in KeypointStrategy],
         help="keypoint depth statistic (default: mean)",
     )
-    p.add_argument("--cobb-ratio", type=float, default=0.35,
-                   help="center-circle radius as a fraction of min(w, h) (default: 0.35)")
-    p.add_argument("--eps", type=float, default=0.15,
-                   help="DBSCAN depth radius in meters (default: 0.15)")
-    p.add_argument("--min-pts", type=int, default=4,
-                   help="DBSCAN minimum neighbors incl. self (default: 4)")
+    p.add_argument("--cobb-ratio", type=float, default=DEFAULT_COBB_RATIO,
+                   help="center-circle radius as a fraction of min(w, h) (default: %(default)s)")
+    p.add_argument("--eps", type=float, default=DEFAULT_DBSCAN_EPS,
+                   help="DBSCAN depth radius in meters (default: %(default)s)")
+    p.add_argument("--min-pts", type=int, default=DEFAULT_DBSCAN_MIN_PTS,
+                   help="DBSCAN minimum neighbors incl. self (default: %(default)s)")
     p.add_argument("--intrinsics", default=None,
                    help="intrinsics JSON file (default: bundled 640x480 68-deg sensor)")
 
@@ -108,16 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--output", "-o", default="-", help="estimate log path or - for stdout")
     p_est.add_argument("--track", action="store_true",
                        help="smooth detections with the Kalman tracker")
-    p_est.add_argument("--track-sigma-accel", type=float, default=200.0)
-    p_est.add_argument("--track-sigma-meas", type=float, default=4.0)
-    p_est.add_argument("--track-miss-limit", type=int, default=5)
+    p_est.add_argument("--track-sigma-accel", type=float, default=TrackerParams.sigma_accel)
+    p_est.add_argument("--track-sigma-meas", type=float, default=TrackerParams.sigma_meas)
+    p_est.add_argument("--track-miss-limit", type=int, default=TrackerParams.miss_limit)
     p_est.add_argument("--gate", action="store_true",
                        help="emit committed goals from the covariance gate")
-    p_est.add_argument("--gate-window", type=int, default=30)
-    p_est.add_argument("--gate-tau", type=float, default=0.01)
-    p_est.add_argument("--gate-tau-angle", type=float, default=4.0)
-    p_est.add_argument("--gate-mode", choices=["goal", "direction"], default="goal")
-    p_est.add_argument("--gate-max-age", type=float, default=1.0)
+    p_est.add_argument("--gate-window", type=int, default=GateParams.window)
+    p_est.add_argument("--gate-tau", type=float, default=GateParams.tau)
+    p_est.add_argument("--gate-tau-angle", type=float, default=GateParams.tau_angle)
+    p_est.add_argument("--gate-mode", choices=["goal", "direction"], default=GateParams.mode)
+    p_est.add_argument("--gate-max-age", type=float, default=GateParams.max_age_s)
 
     p_sim = sub.add_parser("simulate", help="emit a synthetic detection log")
     p_sim.add_argument("--scenario", default=None, help="scenario JSON (default: bundled)")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -31,12 +32,13 @@ except ImportError:  # optional: without it every line takes the stdlib path
 FACE = "face"
 HAND = "hand"
 
-# Lines nested deeper than this are left to the stdlib decoder. orjson 3.8
-# recurses without a depth limit and overflows the C stack (tens of thousands
-# of levels in an 8 MB stack, fewer in a thread), while the stdlib raises
-# RecursionError near the interpreter's recursion limit (1,000 by default);
-# below this depth both decode.
-_FAST_DECODE_MAX_DEPTH = 512
+# Lines nested deeper than this are rejected before either decoder runs.
+# orjson 3.8 recurses without a depth limit and overflows the C stack (tens
+# of thousands of levels in an 8 MB stack, fewer in a thread), while the
+# stdlib raises RecursionError near the interpreter's recursion limit, so
+# its outcome would depend on the caller's stack. A valid frame nests 5 deep.
+_MAX_DEPTH = 512
+_ESCAPE_PAIR = re.compile(r"\\.", re.DOTALL)
 # the bytes bytes.translate deletes so that only quotes and brackets remain
 _NOT_STRUCTURE = bytes(range(256)).translate(None, b'"[]{}')
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
@@ -181,17 +183,18 @@ def _number(value, what: str) -> float:
 def _sample_array(raw) -> np.ndarray:
     """Float array of a decoded ``samples`` value.
 
-    Strings and all-boolean arrays are rejected; a boolean among numbers is
-    coerced, since checking every element would cost more than decoding.
-    Integers beyond 64 bits (``int`` from the stdlib, ``float`` from orjson)
-    make an object array, checked for strings so both decoders agree.
+    Strings, nulls and all-boolean arrays are rejected; a boolean among
+    numbers is coerced, since checking every element would cost more than
+    decoding. Nulls and integers beyond 64 bits (``int`` from the stdlib,
+    ``float`` from orjson) make an object array, checked for strings and
+    nulls so both decoders agree.
     """
     try:
         arr = np.asarray(raw)
     except ValueError as exc:  # ragged rows
         raise FrameFormatError(f"samples must be [[u, v, z], ...]: {exc}") from exc
     kind = arr.dtype.kind
-    if kind in "USb" or (kind == "O" and any(type(x) is str for x in arr.flat)):
+    if kind in "USb" or (kind == "O" and any(x is None or type(x) is str for x in arr.flat)):
         raise FrameFormatError(f"samples must be numbers, got {arr.dtype.name} values")
     try:
         return arr.astype(float, copy=False)
@@ -221,12 +224,16 @@ def _roi_from_dict(obj: dict, label: str, drop_bad_samples: bool) -> RoiPointSet
 
 
 def _nesting_depth(line: str) -> int:
-    """Deepest array/object nesting of a JSON text that holds no backslash.
+    """Deepest array/object nesting of a JSON text.
 
-    Without escapes every quote opens or closes a string, so the brackets
-    between quote pairs are the structure.
+    Once the escape pairs are removed every quote opens or closes a string,
+    so the brackets between quote pairs are the structure. Where the text
+    stops being JSON the count may be off, but not before that point, so it
+    is never below the depth a decoder reaches.
     """
-    marks = line.encode().translate(None, _NOT_STRUCTURE)
+    if "\\" in line:
+        line = _ESCAPE_PAIR.sub("", line)
+    marks = line.encode("utf-8", "surrogatepass").translate(None, _NOT_STRUCTURE)
     structure = np.frombuffer(b"".join(marks.split(b'"')[::2]), dtype=np.uint8)
     return int(np.cumsum(_DEPTH_STEP[structure]).max(initial=0))
 
@@ -234,16 +241,17 @@ def _nesting_depth(line: str) -> int:
 def _decode(line: str):
     """``json.loads(line)``, computed by orjson where the two agree.
 
-    orjson refuses what the stdlib reads leniently (``NaN``, ``Infinity``,
-    numbers beyond the float range, lone surrogates); those lines, lines
-    with escapes (so the depth scan needs no string parser) and deeply
-    nested lines are decoded by the stdlib, which also words the error.
+    Lines nested deeper than ``_MAX_DEPTH`` raise ``ValueError``. orjson
+    refuses what the stdlib reads leniently (``NaN``, ``Infinity``, numbers
+    beyond the float range, lone surrogates); those lines are decoded by the
+    stdlib, which also words the error.
     """
-    if orjson is not None and "\\" not in line:
+    if _nesting_depth(line) > _MAX_DEPTH:
+        raise ValueError(f"nested deeper than {_MAX_DEPTH} levels")
+    if orjson is not None:
         try:
-            if _nesting_depth(line) <= _FAST_DECODE_MAX_DEPTH:
-                return orjson.loads(line)
-        except (UnicodeEncodeError, orjson.JSONDecodeError):
+            return orjson.loads(line)
+        except orjson.JSONDecodeError:
             pass
     return json.loads(line)
 

@@ -1,27 +1,22 @@
-"""Camera model, coordinate frames, and pixel/3D projection.
+"""Camera model and pixel <-> world projection.
 
-Conventions used throughout the package:
+Points live in one frame, the world frame: X right, Y forward along the
+camera's optical axis, Z up, ground plane at Z = 0 (meters).
 
-* camera frame: x right, y down, z forward along the optical axis (meters);
-* world frame: X right, Y along the camera's forward axis, Z up, ground
-  plane at Z = 0.
-
-The camera is assumed to be mounted level (no pitch or roll), so the two
-frames differ only by an axis relabeling plus the mounting height offset.
+The camera is assumed to be mounted level (no pitch or roll) at
+``camera_height``, so the only camera-frame quantity left is a pixel's depth
+along the optical axis, which equals world Y. :func:`deproject` takes pixel
+plus depth straight to a world point and :func:`project` is its inverse.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-
-CAMERA_FRAME = "camera"
-WORLD_FRAME = "world"
 
 
 class GeometryError(ValueError):
@@ -34,10 +29,6 @@ class InvalidDepthError(GeometryError):
 
 class BehindCameraError(GeometryError):
     """Point lies on or behind the image plane and cannot be projected."""
-
-
-class FrameMismatchError(GeometryError):
-    """Operation combined points tagged with different coordinate frames."""
 
 
 @dataclass(frozen=True)
@@ -100,73 +91,20 @@ def default_intrinsics() -> CameraIntrinsics:
     return CameraIntrinsics.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class DepthSample:
-    """One sparse depth reading: pixel location plus depth along the optical axis."""
-
-    u: float
-    v: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not self.z > 0:
-            raise InvalidDepthError(f"depth must be positive, got z={self.z}")
+def deproject(u: float, v: float, z: float, intr: CameraIntrinsics) -> np.ndarray:
+    """Back-project pixel (u, v) at depth z into a world-frame point (X, Y, Z)."""
+    if not z > 0:
+        raise InvalidDepthError(f"cannot deproject non-positive depth z={z}")
+    x = (u - intr.cx) * z / intr.fx
+    y = (v - intr.cy) * z / intr.fy
+    return np.array([x, z, intr.camera_height - y])
 
 
-@dataclass(frozen=True)
-class Point3:
-    """3D point tagged with its coordinate frame; mixing frames raises."""
-
-    x: float
-    y: float
-    z: float
-    frame: str = CAMERA_FRAME
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def _check_frame(self, other: "Point3") -> None:
-        if self.frame != other.frame:
-            raise FrameMismatchError(f"frame mismatch: {self.frame!r} vs {other.frame!r}")
-
-    def __sub__(self, other: "Point3") -> np.ndarray:
-        self._check_frame(other)
-        return np.array([self.x - other.x, self.y - other.y, self.z - other.z])
-
-    def distance_to(self, other: "Point3") -> float:
-        self._check_frame(other)
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
-
-def deproject(sample: DepthSample, intr: CameraIntrinsics) -> Point3:
-    """Back-project a pixel + depth into the camera frame."""
-    if not sample.z > 0:
-        raise InvalidDepthError(f"cannot deproject non-positive depth z={sample.z}")
-    x = (sample.u - intr.cx) * sample.z / intr.fx
-    y = (sample.v - intr.cy) * sample.z / intr.fy
-    return Point3(x, y, sample.z, CAMERA_FRAME)
-
-
-def project(p: Point3, intr: CameraIntrinsics) -> DepthSample:
-    """Project a camera-frame point onto the image, keeping its depth."""
-    if p.frame != CAMERA_FRAME:
-        raise FrameMismatchError(f"project expects a camera-frame point, got {p.frame!r}")
-    if not p.z > 0:
-        raise BehindCameraError(f"point at z={p.z} is behind the camera")
-    u = intr.fx * p.x / p.z + intr.cx
-    v = intr.fy * p.y / p.z + intr.cy
-    return DepthSample(u, v, p.z)
-
-
-def camera_to_world(p: Point3, intr: CameraIntrinsics) -> Point3:
-    """Relabel camera axes into the world frame and apply the mounting height."""
-    if p.frame != CAMERA_FRAME:
-        raise FrameMismatchError(f"camera_to_world expects a camera-frame point, got {p.frame!r}")
-    return Point3(p.x, p.z, intr.camera_height - p.y, WORLD_FRAME)
-
-
-def world_to_camera(p: Point3, intr: CameraIntrinsics) -> Point3:
-    """Inverse of :func:`camera_to_world`."""
-    if p.frame != WORLD_FRAME:
-        raise FrameMismatchError(f"world_to_camera expects a world-frame point, got {p.frame!r}")
-    return Point3(p.x, intr.camera_height - p.z, p.y, CAMERA_FRAME)
+def project(p: np.ndarray, intr: CameraIntrinsics) -> tuple[float, float, float]:
+    """Project a world-frame point onto the image; returns (u, v, depth)."""
+    x, depth, height = p
+    if not depth > 0:
+        raise BehindCameraError(f"point at depth {depth} is behind the camera")
+    u = intr.fx * x / depth + intr.cx
+    v = intr.fy * (intr.camera_height - height) / depth + intr.cy
+    return u, v, depth

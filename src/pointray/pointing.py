@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .frames import BoundingBox, DetectionFrame, RoiPointSet
-from .geometry import CameraIntrinsics, GeometryError, Point3, WORLD_FRAME, camera_to_world
+from .geometry import CameraIntrinsics, GeometryError
 from .roi import (
     DEFAULT_COBB_RATIO,
     DEFAULT_DBSCAN_EPS,
@@ -70,13 +70,13 @@ class EstimatorParams:
             raise ValueError(f"dbscan_min_pts must be >= 1, got {self.dbscan_min_pts}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointingEstimate:
     """One frame's pointing vector in world coordinates."""
 
     timestamp: float
-    face_kp: Point3
-    hand_kp: Point3
+    face_kp: np.ndarray  # world (X, Y, Z)
+    hand_kp: np.ndarray
     direction: tuple[float, float, float]  # face_kp - hand_kp, unnormalized
     pitch_deg: float
     yaw_deg: float
@@ -134,22 +134,20 @@ def pointing_angles(direction) -> tuple[float, float]:
     return ray_angles((-dx, -dy, -dz))
 
 
-def ground_intersection_world(face_kp: Point3, hand_kp: Point3) -> GoalPoint:
+def ground_intersection_world(face_kp: np.ndarray, hand_kp: np.ndarray) -> GoalPoint:
     """Intersect the eye-through-hand ray with the ground plane Z = 0.
 
     Requires the face to sit above the hand in world height so the ray
     descends; level or ascending rays raise
     :class:`NoGroundIntersectionError`.
     """
-    if face_kp.frame != WORLD_FRAME or hand_kp.frame != WORLD_FRAME:
-        raise GeometryError("ground_intersection_world expects world-frame keypoints")
     p = face_kp - hand_kp
     if p[2] < MIN_DESCENT:
         raise NoGroundIntersectionError(
             f"pointing ray does not descend (face-hand height difference {p[2]:.4g} m)"
         )
-    t = face_kp.z / p[2]
-    return GoalPoint(face_kp.x - t * p[0], face_kp.y - t * p[1])
+    t = face_kp[2] / p[2]
+    return GoalPoint(face_kp[0] - t * p[0], face_kp[1] - t * p[1])
 
 
 def _roi_keypoint(
@@ -157,7 +155,7 @@ def _roi_keypoint(
     strategy: KeypointStrategy,
     params: EstimatorParams,
     intr: CameraIntrinsics,
-) -> Point3:
+) -> np.ndarray:
     if strategy is KeypointStrategy.DBSCAN_CLUSTER:
         return estimate_keypoint(
             roi, strategy, intr, eps=params.dbscan_eps, min_pts=params.dbscan_min_pts
@@ -186,24 +184,22 @@ def estimate_frame(
     hand_bbox = select_pointing_hand([h.source_bbox for h in frame.hands])
     hand = next(h for h in frame.hands if h.source_bbox is hand_bbox)
     try:
-        face_cam = _roi_keypoint(frame.face, strategy, params, intr)
-        hand_cam = _roi_keypoint(hand, strategy, params, intr)
+        face_kp = _roi_keypoint(frame.face, strategy, params, intr)
+        hand_kp = _roi_keypoint(hand, strategy, params, intr)
     except EmptyRoiError:
         return FrameResult(t, None, None, REASON_EMPTY_ROI)
     except NoTargetClusterError:
         return FrameResult(t, None, None, REASON_NO_CLUSTER)
 
-    face_w = camera_to_world(face_cam, intr)
-    hand_w = camera_to_world(hand_cam, intr)
-    direction = tuple(face_w - hand_w)
+    direction = tuple(face_kp - hand_kp)
     try:
         pitch, yaw = pointing_angles(direction)
     except DegenerateDirectionError:
         # Coincident keypoints: no usable ray, hence nothing to intersect.
         return FrameResult(t, None, None, REASON_NO_GROUND_HIT)
-    estimate = PointingEstimate(t, face_w, hand_w, direction, pitch, yaw, strategy)
+    estimate = PointingEstimate(t, face_kp, hand_kp, direction, pitch, yaw, strategy)
     try:
-        goal = ground_intersection_world(face_w, hand_w)
+        goal = ground_intersection_world(face_kp, hand_kp)
     except NoGroundIntersectionError:
         return FrameResult(t, estimate, None, REASON_NO_GROUND_HIT)
     return FrameResult(t, estimate, goal, None)
@@ -214,8 +210,8 @@ def result_to_dict(result: FrameResult) -> dict:
     est = result.estimate
     return {
         "t": result.timestamp,
-        "face": None if est is None else [est.face_kp.x, est.face_kp.y, est.face_kp.z],
-        "hand": None if est is None else [est.hand_kp.x, est.hand_kp.y, est.hand_kp.z],
+        "face": None if est is None else est.face_kp.tolist(),
+        "hand": None if est is None else est.hand_kp.tolist(),
         "pitch_deg": None if est is None else est.pitch_deg,
         "yaw_deg": None if est is None else est.yaw_deg,
         "goal": None if result.goal is None else [result.goal.x, result.goal.y],

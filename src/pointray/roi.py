@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .frames import RoiPointSet
-from .geometry import CameraIntrinsics, DepthSample, Point3, deproject
+from .geometry import CameraIntrinsics, deproject
 
 DEFAULT_COBB_RATIO = 0.35
 DEFAULT_DBSCAN_EPS = 0.15  # meters; hands span well under 15 cm in depth
@@ -171,8 +171,8 @@ def estimate_keypoint(
     *,
     eps: float = DEFAULT_DBSCAN_EPS,
     min_pts: int = DEFAULT_DBSCAN_MIN_PTS,
-) -> Point3:
-    """Summarize an ROI into one camera-frame 3D keypoint.
+) -> np.ndarray:
+    """Summarize an ROI into one world-frame 3D keypoint.
 
     The pixel location is the centroid of the retained samples; the depth is
     the strategy's statistic over their z values. For the first three
@@ -198,4 +198,4 @@ def estimate_keypoint(
             raise ValueError(f"unhandled strategy {strategy!r}")
     u_c = float(np.mean(chosen[:, 0]))
     v_c = float(np.mean(chosen[:, 1]))
-    return deproject(DepthSample(u_c, v_c, depth), intr)
+    return deproject(u_c, v_c, depth, intr)

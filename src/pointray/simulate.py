@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .frames import FACE, HAND, BoundingBox, DetectionFrame, RoiPointSet
-from .geometry import CameraIntrinsics, Point3, WORLD_FRAME, project, world_to_camera
+from .geometry import CameraIntrinsics, project
 from .pointing import EstimatorParams, angular_error_deg, estimate_frame, ray_angles
 from .roi import KeypointStrategy
 
@@ -177,12 +177,12 @@ def default_scenario() -> Scenario:
     return Scenario.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Analytic truth for one synthesized frame."""
 
-    eye: Point3  # world frame
-    fingertip: Point3  # world frame
+    eye: np.ndarray  # world (X, Y, Z)
+    fingertip: np.ndarray
     pitch_deg: float
     yaw_deg: float
     goal: tuple[float, float] | None  # ground-plane hit, None when not descending
@@ -210,7 +210,7 @@ def _pose_geometry(
     position: tuple[float, float],
     direction: tuple[float, float] | None,
     target: tuple[float, float] | None,
-) -> tuple[Point3, Point3, GroundTruth]:
+) -> GroundTruth:
     if (direction is None) == (target is None):
         raise ValueError("exactly one of direction or target must be given")
     gx, gy = subject_ground_position(position)
@@ -229,31 +229,30 @@ def _pose_geometry(
         goal = (float(eye[0] + s * unit[0]), float(eye[1] + s * unit[1]))
     else:
         goal = None
-    truth = GroundTruth(
-        eye=Point3(*map(float, eye), WORLD_FRAME),
-        fingertip=Point3(*map(float, fingertip), WORLD_FRAME),
+    return GroundTruth(
+        eye=eye,
+        fingertip=fingertip,
         pitch_deg=pitch,
         yaw_deg=yaw,
         goal=goal,
         ray=tuple(map(float, unit)),
     )
-    return truth.eye, truth.fingertip, truth
 
 
 def _roi_layout(
-    center_world: Point3,
+    center_world: np.ndarray,
     phys_size: tuple[float, float],
     label: str,
     intr: CameraIntrinsics,
 ) -> tuple[float, float, float, float, float]:
     """Project an object center; returns (u, v, z, bbox_w_px, bbox_h_px)."""
-    cam = world_to_camera(center_world, intr)
-    if cam.z <= 0.1:
-        raise PoseUnrenderableError(f"{label} sits at depth {cam.z:.2f} m, too close")
-    px = project(cam, intr)
-    w_px = intr.fx * phys_size[0] * BBOX_MARGIN / cam.z
-    h_px = intr.fy * phys_size[1] * BBOX_MARGIN / cam.z
-    return px.u, px.v, cam.z, w_px, h_px
+    z = center_world[1]
+    if z <= 0.1:
+        raise PoseUnrenderableError(f"{label} sits at depth {z:.2f} m, too close")
+    u, v, _ = project(center_world, intr)
+    w_px = intr.fx * phys_size[0] * BBOX_MARGIN / z
+    h_px = intr.fy * phys_size[1] * BBOX_MARGIN / z
+    return u, v, z, w_px, h_px
 
 
 def _check_bbox_inside(
@@ -273,7 +272,7 @@ def _check_bbox_inside(
 
 
 def _synthesize_roi(
-    center_world: Point3,
+    center_world: np.ndarray,
     phys_size: tuple[float, float],
     label: str,
     wall_z: float,
@@ -350,10 +349,10 @@ def synthesize_frame(
 ) -> tuple[DetectionFrame, GroundTruth]:
     """Render one detection frame for a pose pointing along a direction
     (pitch/yaw) or at a floor target (x, y)."""
-    eye, fingertip, truth = _pose_geometry(subject, position, direction, target)
-    wall_z = world_to_camera(eye, intr).z + WALL_OFFSET_M
-    face_roi = _synthesize_roi(eye, FACE_SIZE_M, FACE, wall_z, noise, intr, rng)
-    hand_roi = _synthesize_roi(fingertip, HAND_SIZE_M, HAND, wall_z, noise, intr, rng)
+    truth = _pose_geometry(subject, position, direction, target)
+    wall_z = truth.eye[1] + WALL_OFFSET_M
+    face_roi = _synthesize_roi(truth.eye, FACE_SIZE_M, FACE, wall_z, noise, intr, rng)
+    hand_roi = _synthesize_roi(truth.fingertip, HAND_SIZE_M, HAND, wall_z, noise, intr, rng)
     frame = DetectionFrame(timestamp, face_roi, (hand_roi,))
     return frame, truth
 
@@ -388,7 +387,7 @@ def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
             scenario, use_targets=True
         ):
             try:
-                eye, fingertip, _ = _pose_geometry(
+                truth = _pose_geometry(
                     scenario.subject,
                     (range_m, bearing_deg),
                     aim if kind == "direction" else None,
@@ -396,8 +395,8 @@ def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
                 )
                 margin = 3.0 * scenario.noise.bbox_jitter_px
                 for world_pt, size, label in (
-                    (eye, FACE_SIZE_M, FACE),
-                    (fingertip, HAND_SIZE_M, HAND),
+                    (truth.eye, FACE_SIZE_M, FACE),
+                    (truth.fingertip, HAND_SIZE_M, HAND),
                 ):
                     u0, v0, _, w_px, h_px = _roi_layout(world_pt, size, label, intr)
                     _check_bbox_inside(u0, v0, w_px, h_px, margin, intr, label)
@@ -674,8 +673,8 @@ def simulate_log(
 def truth_to_dict(truth: GroundTruth, timestamp: float) -> dict:
     return {
         "t": timestamp,
-        "eye": [truth.eye.x, truth.eye.y, truth.eye.z],
-        "fingertip": [truth.fingertip.x, truth.fingertip.y, truth.fingertip.z],
+        "eye": truth.eye.tolist(),
+        "fingertip": truth.fingertip.tolist(),
         "pitch_deg": truth.pitch_deg,
         "yaw_deg": truth.yaw_deg,
         "goal": None if truth.goal is None else [truth.goal[0], truth.goal[1]],

@@ -252,9 +252,6 @@ class GoalGate:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def reset(self) -> None:
-        self._entries.clear()
-
     def update(
         self,
         t: float,

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import collinearity_residual, dbscan_reference, ray_plane_oracle
 from pointray.cli import EXIT_OK, main
-from pointray.geometry import Point3, WORLD_FRAME, default_intrinsics
+from pointray.geometry import default_intrinsics
 from pointray.pointing import (
     EstimatorParams,
     GoalPoint,
@@ -110,9 +110,7 @@ def test_criterion_02_ground_plane_oracle_equivalence():
         expected = ray_plane_oracle(f, h)
         if expected is None:
             continue
-        goal = ground_intersection_world(
-            Point3(*f, WORLD_FRAME), Point3(*h, WORLD_FRAME)
-        )
+        goal = ground_intersection_world(f, h)
         worst = max(worst, math.hypot(goal.x - expected[0], goal.y - expected[1]))
         worst_resid = max(worst_resid, collinearity_residual((goal.x, goal.y), f, h))
         checked += 1

@@ -104,13 +104,16 @@ def test_estimate_skips_strings_and_booleans_as_numbers(noiseless_log, tmp_path,
     lines = Path(noiseless_log).read_text().splitlines()
     # a float() coercion reads this as t 0.5, bbox (0, 1, 10, 10), confidence 1.0
     found = '{"t":"0.5","face":{"bbox":["0",true,"10",10],"conf":true,"samples":[["5",5,"1"]]}}'
+    # numpy reads null as NaN, which a lenient read would drop uncounted
+    null = '{"t":-1,"face":{"bbox":[0,0,10,10],"samples":[[null,5,1],[5,5,1]]}}'
     src = tmp_path / "bad.jsonl"
-    src.write_text("\n".join([found] + lines) + "\n")
+    src.write_text("\n".join([found, null] + lines) + "\n")
     out = tmp_path / "out.jsonl"
     assert main(["estimate", "-i", str(src), "-o", str(out)]) == EXIT_OK
     err = capsys.readouterr().err
     assert "warning: line 1 skipped: timestamp must be a number" in err
-    assert "skipped: 1" in err
+    assert "warning: line 2 skipped: samples must be numbers" in err
+    assert "skipped: 2" in err
     assert len(read_jsonl(out)) == len(lines)
 
 

@@ -232,10 +232,12 @@ def decoder(request, monkeypatch):
     '{"t":0,"face":{"bbox":[0,0,10,10],"samples":[[true,true,true]]}}',
     '{"t":0,"face":{"bbox":[0,0,1e21,10],"samples":[[100000000000000000000,"5",1]]}}',
     '{"t":0,"face":{"bbox":[0,0,10,10],"samples":[[5,5,%s]]}}' % ("9" * 400),  # overflows
+    '{"t":0,"face":{"bbox":[0,0,10,10],"samples":[[null,5,1],[5,5,1]]}}',
 ])
 def test_parse_rejects_strings_booleans_and_overflowing_numbers(line, decoder):
-    with pytest.raises(FrameFormatError):
-        parse_frame(line)
+    for drop_bad_samples in (False, True):
+        with pytest.raises(FrameFormatError):
+            parse_frame(line, drop_bad_samples=drop_bad_samples)
 
 
 @pytest.mark.parametrize("big", ["1e20", "100000000000000000000"])
@@ -244,14 +246,41 @@ def test_parse_accepts_integers_beyond_64_bits(big, decoder):
     assert parse_frame(line).face.samples.tolist() == [[1e20, 1.0, 2.0]]
 
 
-# each step nests two levels: the first depth passes the recursion limit, and
-# orjson 3.8 overflows the C stack on the second
-@pytest.mark.parametrize("depth", [sys.getrecursionlimit() // 2 + 100, 100_000])
-@pytest.mark.parametrize("member", ['"s":"a",', '"s":"\\"",'])  # the second escapes a quote
-def test_parse_nesting_beyond_the_recursion_limit_is_a_format_error(depth, member, decoder):
-    line = '{"t":0,%s"x":' % member + '[{"a":' * depth + "0" + "}]" * depth + "}"
-    with pytest.raises(FrameFormatError):
-        parse_frame(line)
+def _nested_frame(levels, member):
+    """Frame text whose member "x" takes it to ``levels`` levels of nesting."""
+    inner = levels - 1  # the frame object is the first level
+    opens = "".join("[" if i % 2 == 0 else '{"a":' for i in range(inner))
+    closes = "".join("]" if i % 2 == 0 else "}" for i in reversed(range(inner)))
+    return '{"t":0,%s"x":%s0%s}' % (member, opens, closes)
+
+
+# plain, an escaped quote, and a raw lone surrogate, which only the stdlib reads
+_MEMBERS = ['"s":"a",', '"s":"\\"",', '"s":"\ud800",']
+
+
+@pytest.mark.parametrize("member", _MEMBERS)
+def test_parse_accepts_nesting_of_512_levels(member, decoder):
+    assert parse_frame(_nested_frame(512, member)).timestamp == 0.0
+
+
+# Under a raised recursion limit the stdlib decodes 600 levels, so only a
+# fixed limit makes the outcome independent of the caller's stack; orjson 3.8
+# overflows the C stack on the deepest line.
+@pytest.mark.parametrize("recursion_limit", [None, 5_000])
+@pytest.mark.parametrize("levels", [513, 600, 200_001])
+@pytest.mark.parametrize("member", _MEMBERS)
+def test_parse_nesting_beyond_512_levels_is_a_format_error(
+    levels, member, recursion_limit, decoder
+):
+    line = _nested_frame(levels, member)
+    old_limit = sys.getrecursionlimit()
+    try:
+        if recursion_limit is not None:
+            sys.setrecursionlimit(recursion_limit)
+        with pytest.raises(FrameFormatError, match="nested deeper than 512 levels"):
+            parse_frame(line)
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 _ODD_NUMBER = st.sampled_from([

@@ -6,44 +6,48 @@ import pytest
 from pointray.geometry import (
     BehindCameraError,
     CameraIntrinsics,
-    DepthSample,
-    FrameMismatchError,
     GeometryError,
     InvalidDepthError,
-    Point3,
-    WORLD_FRAME,
-    camera_to_world,
     default_intrinsics,
     deproject,
     project,
-    world_to_camera,
 )
 
 
 def test_deproject_principal_point(intr):
-    p = deproject(DepthSample(intr.cx, intr.cy, 2.0), intr)
-    assert (p.x, p.y, p.z) == (0.0, 0.0, 2.0)
-    assert p.frame == "camera"
+    p = deproject(intr.cx, intr.cy, 2.0, intr)
+    assert p.dtype == np.float64 and p.shape == (3,)
+    assert p.tolist() == [0.0, 2.0, intr.camera_height]
 
 
 def test_deproject_analytic():
     intr = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480,
                             camera_height=1.0)
-    p = deproject(DepthSample(820.0, 240.0, 2.0), intr)
-    assert p.x == pytest.approx(2.0, abs=1e-12)
-    assert p.y == 0.0
+    x, y, z = deproject(820.0, 240.0, 2.0, intr)
+    assert x == pytest.approx(2.0, abs=1e-12)
+    assert (y, z) == (2.0, 1.0)
+
+
+def test_deproject_world_examples():
+    # level camera 1 m above the ground: depth is world Y, image rows map to
+    # heights camera_height - (v - cy) * depth / fy
+    intr = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480,
+                            camera_height=1.0)
+    assert deproject(320.0, 240.0, 3.0, intr).tolist() == [0.0, 3.0, 1.0]
+    assert deproject(320.0, 490.0, 2.0, intr).tolist() == [0.0, 2.0, 0.0]
+    assert deproject(445.0, 190.0, 2.0, intr).tolist() == [0.5, 2.0, 1.2]
 
 
 def test_project_optical_axis(intr):
-    s = project(Point3(0.0, 0.0, 2.0), intr)
-    assert (s.u, s.v, s.z) == (intr.cx, intr.cy, 2.0)
+    assert project(np.array([0.0, 2.0, intr.camera_height]), intr) == (intr.cx, intr.cy, 2.0)
 
 
 def test_project_analytic():
     intr = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480,
                             camera_height=1.0)
-    s = project(Point3(2.0, 0.0, 2.0), intr)
-    assert s.u == pytest.approx(820.0, abs=1e-12)
+    u, v, depth = project(np.array([2.0, 2.0, 1.0]), intr)
+    assert u == pytest.approx(820.0, abs=1e-12)
+    assert (v, depth) == (240.0, 2.0)
 
 
 def test_round_trips(intr):
@@ -52,69 +56,24 @@ def test_round_trips(intr):
         u = rng.uniform(0, intr.width)
         v = rng.uniform(0, intr.height)
         z = rng.uniform(0.1, 10.0)
-        s = DepthSample(u, v, z)
-        s2 = project(deproject(s, intr), intr)
-        assert abs(s2.u - u) < 1e-9 and abs(s2.v - v) < 1e-9 and abs(s2.z - z) < 1e-9
-        p = Point3(rng.uniform(-3, 3), rng.uniform(-2, 2), z)
-        p2 = deproject(project(p, intr), intr)
-        assert abs(p2.x - p.x) < 1e-9 and abs(p2.y - p.y) < 1e-9 and abs(p2.z - p.z) < 1e-9
+        u2, v2, z2 = project(deproject(u, v, z, intr), intr)
+        assert abs(u2 - u) < 1e-9 and abs(v2 - v) < 1e-9 and abs(z2 - z) < 1e-9
+    for _ in range(1000):
+        p = np.array([rng.uniform(-3, 3), rng.uniform(0.1, 10.0), rng.uniform(-1, 3)])
+        p2 = deproject(*project(p, intr), intr)
+        assert np.max(np.abs(p2 - p)) < 1e-9
 
 
-def test_camera_to_world_examples():
-    intr = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480,
-                            camera_height=1.0)
-    w = camera_to_world(Point3(0.0, 0.0, 3.0), intr)
-    assert (w.x, w.y, w.z) == (0.0, 3.0, 1.0)
-    assert w.frame == WORLD_FRAME
-
-    ground = camera_to_world(Point3(0.0, 1.0, 0.0), intr)
-    assert ground.z == 0.0
-
-    w2 = camera_to_world(Point3(0.5, -0.2, 2.0), intr)
-    assert (w2.x, w2.y, w2.z) == (0.5, 2.0, 1.2)
-
-
-def test_world_to_camera_inverts(intr):
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        p = Point3(rng.uniform(-5, 5), rng.uniform(-2, 2), rng.uniform(0.1, 8))
-        w = camera_to_world(p, intr)
-        back = world_to_camera(w, intr)
-        assert p.distance_to(back) < 1e-12
-
-
-def test_rigid_transform_preserves_distances(intr):
-    rng = np.random.default_rng(11)
-    for _ in range(500):
-        a = Point3(*rng.uniform(-4, 4, 3))
-        b = Point3(*rng.uniform(-4, 4, 3))
-        wa, wb = camera_to_world(a, intr), camera_to_world(b, intr)
-        assert abs(a.distance_to(b) - wa.distance_to(wb)) < 1e-12
-
-
-def test_depth_sample_rejects_nonpositive_depth():
-    with pytest.raises(InvalidDepthError):
-        DepthSample(10, 10, 0.0)
-    with pytest.raises(InvalidDepthError):
-        DepthSample(10, 10, -1.0)
+def test_deproject_rejects_nonpositive_depth(intr):
+    for z in (0.0, -1.0):
+        with pytest.raises(InvalidDepthError):
+            deproject(10.0, 10.0, z, intr)
 
 
 def test_project_behind_camera(intr):
-    with pytest.raises(BehindCameraError):
-        project(Point3(0.0, 0.0, -0.5), intr)
-
-
-def test_frame_mismatch_raises(intr):
-    cam = Point3(0, 0, 1.0)
-    world = Point3(0, 0, 1.0, WORLD_FRAME)
-    with pytest.raises(FrameMismatchError):
-        _ = cam - world
-    with pytest.raises(FrameMismatchError):
-        camera_to_world(world, intr)
-    with pytest.raises(FrameMismatchError):
-        world_to_camera(cam, intr)
-    with pytest.raises(FrameMismatchError):
-        project(world, intr)
+    for depth in (0.0, -0.5):
+        with pytest.raises(BehindCameraError):
+            project(np.array([0.0, depth, 1.0]), intr)
 
 
 @pytest.mark.parametrize(

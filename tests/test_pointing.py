@@ -8,13 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import collinearity_residual, ray_plane_oracle
 from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
-from pointray.geometry import (
-    CameraIntrinsics,
-    Point3,
-    WORLD_FRAME,
-    camera_to_world,
-    world_to_camera,
-)
 from pointray.pointing import (
     DegenerateDirectionError,
     EstimatorParams,
@@ -35,7 +28,7 @@ def bbox(u0, v0, u1, v1, label="hand", conf=1.0):
 
 
 def wp(x, y, z):
-    return Point3(x, y, z, WORLD_FRAME)
+    return np.array([x, y, z], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +127,6 @@ def test_ground_intersection_worked_example():
     assert np.allclose([goal.x, goal.y], oracle, atol=1e-12)
 
 
-def test_ground_intersection_from_camera_frame():
-    intr = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480,
-                            camera_height=1.0)
-    face_cam = world_to_camera(wp(0.0, 0.0, 1.6), intr)
-    hand_cam = world_to_camera(wp(0.0, 0.3, 1.2), intr)
-    goal = ground_intersection_world(camera_to_world(face_cam, intr),
-                                     camera_to_world(hand_cam, intr))
-    assert goal.x == pytest.approx(0.0, abs=1e-12)
-    assert goal.y == pytest.approx(1.2, abs=1e-12)
-
-
 def test_ground_intersection_vertical_ray():
     goal = ground_intersection_world(wp(0.5, 2.0, 1.6), wp(0.5, 2.0, 1.2))
     assert (goal.x, goal.y) == (0.5, 2.0)
@@ -167,7 +149,7 @@ def test_ground_intersection_matches_oracle_bulk():
         oracle = ray_plane_oracle(f, h)
         if oracle is None:
             continue
-        goal = ground_intersection_world(wp(*f), wp(*h))
+        goal = ground_intersection_world(f, h)
         assert math.hypot(goal.x - oracle[0], goal.y - oracle[1]) < 1e-9
         assert collinearity_residual((goal.x, goal.y), f, h) < 1e-9
         checked += 1
@@ -180,8 +162,8 @@ def test_goal_translates_with_keypoints():
         h = f + np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                           -rng.uniform(0.1, 0.7)])
         off = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3), 0.0])
-        g1 = ground_intersection_world(wp(*f), wp(*h))
-        g2 = ground_intersection_world(wp(*(f + off)), wp(*(h + off)))
+        g1 = ground_intersection_world(f, h)
+        g2 = ground_intersection_world(f + off, h + off)
         assert g2.x - g1.x == pytest.approx(off[0], abs=1e-9)
         assert g2.y - g1.y == pytest.approx(off[1], abs=1e-9)
 
@@ -271,15 +253,14 @@ def test_estimate_frame_selects_topmost_hand(intr):
     low = hand_roi(z=0.9, box=(400, 300, 450, 350))
     frame = DetectionFrame(0.0, face_roi(), (low, top))
     res = estimate_frame(frame, KeypointStrategy.MEAN_DEPTH, PARAMS, intr)
-    assert res.estimate.hand_kp.to_array()[1] == pytest.approx(1.5, abs=1e-9)
+    assert res.estimate.hand_kp[1] == pytest.approx(1.5, abs=1e-9)
 
 
 def test_estimate_frame_goal_collinearity(intr):
     frame = DetectionFrame(0.0, face_roi(), (hand_roi(),))
     res = estimate_frame(frame, KeypointStrategy.MEAN_DEPTH, PARAMS, intr)
-    f = res.estimate.face_kp.to_array()
-    h = res.estimate.hand_kp.to_array()
-    assert collinearity_residual((res.goal.x, res.goal.y), f, h) < 1e-9
+    est = res.estimate
+    assert collinearity_residual((res.goal.x, res.goal.y), est.face_kp, est.hand_kp) < 1e-9
 
 
 def test_estimate_frame_deterministic(intr):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import dbscan_reference, dbscan_reference_members
 from pointray.frames import BoundingBox, RoiPointSet
-from pointray.geometry import deproject, DepthSample
+from pointray.geometry import deproject
 from pointray.roi import (
     DepthCluster,
     EmptyRoiError,
@@ -259,35 +259,35 @@ def test_keypoint_depth_statistics(intr):
     mean_kp = estimate_keypoint(roi, KeypointStrategy.MEAN_DEPTH, intr)
     med_kp = estimate_keypoint(roi, KeypointStrategy.MEDIAN_DEPTH, intr)
     close_kp = estimate_keypoint(roi, KeypointStrategy.CLOSEST_POINT, intr)
-    assert mean_kp.z == pytest.approx(2.0)
-    assert med_kp.z == pytest.approx(2.0)
-    assert close_kp.z == pytest.approx(1.0)
-    expected = deproject(DepthSample(50, 30, 2.0), intr)
-    assert mean_kp.distance_to(expected) < 1e-12
+    assert mean_kp[1] == pytest.approx(2.0)
+    assert med_kp[1] == pytest.approx(2.0)
+    assert close_kp[1] == pytest.approx(1.0)
+    expected = deproject(50, 30, 2.0, intr)
+    assert math.dist(mean_kp, expected) < 1e-12
 
 
 def test_keypoint_median_even_count(intr):
     roi = roi_from([[50, 30, 1.0], [50, 30, 2.0], [50, 30, 4.0], [50, 30, 8.0]])
     kp = estimate_keypoint(roi, KeypointStrategy.MEDIAN_DEPTH, intr)
-    assert kp.z == pytest.approx(3.0)  # mean of the two central values
+    assert kp[1] == pytest.approx(3.0)  # mean of the two central values
 
 
 def test_keypoint_singleton_all_strategies_agree(intr):
     roi = roi_from([[42, 25, 1.7]])
-    expected = deproject(DepthSample(42, 25, 1.7), intr)
+    expected = deproject(42, 25, 1.7, intr)
     for strategy in (KeypointStrategy.MEAN_DEPTH, KeypointStrategy.MEDIAN_DEPTH,
                      KeypointStrategy.CLOSEST_POINT):
         kp = estimate_keypoint(roi, strategy, intr)
-        assert kp.distance_to(expected) < 1e-12
+        assert math.dist(kp, expected) < 1e-12
     kp = estimate_keypoint(roi, KeypointStrategy.DBSCAN_CLUSTER, intr, min_pts=1)
-    assert kp.distance_to(expected) < 1e-12
+    assert math.dist(kp, expected) < 1e-12
 
 
 def test_keypoint_pixel_centroid(intr):
     roi = roi_from([[10, 10, 2.0], [20, 20, 2.0]])
     kp = estimate_keypoint(roi, KeypointStrategy.MEAN_DEPTH, intr)
-    expected = deproject(DepthSample(15, 15, 2.0), intr)
-    assert kp.distance_to(expected) < 1e-12
+    expected = deproject(15, 15, 2.0, intr)
+    assert math.dist(kp, expected) < 1e-12
 
 
 def test_keypoint_permutation_invariance(intr):
@@ -301,9 +301,9 @@ def test_keypoint_permutation_invariance(intr):
                      KeypointStrategy.CLOSEST_POINT):
         a = estimate_keypoint(roi, strategy, intr)
         b = estimate_keypoint(roi_p, strategy, intr)
-        assert a.distance_to(b) < 1e-9
+        assert math.dist(a, b) < 1e-9
     close = estimate_keypoint(roi, KeypointStrategy.CLOSEST_POINT, intr)
-    assert close.z == pytest.approx(samples[:, 2].min())
+    assert close[1] == pytest.approx(samples[:, 2].min())
 
 
 def test_keypoint_dbscan_uses_largest_cluster(intr):
@@ -313,9 +313,9 @@ def test_keypoint_dbscan_uses_largest_cluster(intr):
     roi = roi_from(samples)
     kp = estimate_keypoint(roi, KeypointStrategy.DBSCAN_CLUSTER, intr,
                            eps=0.15, min_pts=3)
-    assert kp.z == pytest.approx(np.mean([1.50, 1.51, 1.49, 1.50, 1.52]))
+    assert kp[1] == pytest.approx(np.mean([1.50, 1.51, 1.49, 1.50, 1.52]))
     # pixel centroid over the cluster members only
-    assert (kp.x > 0) == (np.mean([48, 50, 52, 50, 51]) > intr.cx)
+    assert (kp[0] > 0) == (np.mean([48, 50, 52, 50, 51]) > intr.cx)
 
 
 def test_keypoint_dbscan_all_noise_raises(intr):

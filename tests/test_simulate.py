@@ -100,7 +100,7 @@ def test_background_sample_count_exact(intr):
     frame, truth = synthesize_frame(SUBJECT, pos, direction=(30.0, 0.0),
                                     noise=nm, intr=intr, rng=rng(1))
     face = frame.face
-    z_face = truth.eye.y  # camera depth equals world forward distance
+    z_face = truth.eye[1]  # camera depth equals world forward distance
     n_fg = nm.sample_count(z_face)
     assert n_fg == 100
     near_wall = np.abs(face.z - (z_face + 1.5)) < 0.05
@@ -112,7 +112,7 @@ def test_foreground_count_exact_without_dropout(intr):
     nm = NoiseModel(beta=0.0, p_drop_max=0.0)
     frame, truth = synthesize_frame(SUBJECT, (3.0, 0.0), direction=(30.0, 0.0),
                                     noise=nm, intr=intr, rng=rng(2))
-    assert len(frame.face) == nm.sample_count(truth.eye.y)
+    assert len(frame.face) == nm.sample_count(truth.eye[1])
 
 
 def test_ground_truth_self_consistency(intr):
@@ -122,7 +122,7 @@ def test_ground_truth_self_consistency(intr):
         for d in sc.directions:
             _, truth = synthesize_frame(sc.subject, pos, direction=d,
                                         noise=sc.noise, intr=intr, rng=g)
-            hit = ray_plane_oracle(truth.eye.to_array(), truth.fingertip.to_array())
+            hit = ray_plane_oracle(truth.eye, truth.fingertip)
             assert truth.goal is not None and hit is not None
             assert math.hypot(hit[0] - truth.goal[0], hit[1] - truth.goal[1]) < 1e-12
         for t in sc.floor_targets:
