@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .frames import DetectionFrame, frame_to_line, read_frames
+from .frames import FRAME_RATE_HZ, frame_to_line, read_frames
 from .geometry import CameraIntrinsics, default_intrinsics
 from .pointing import EstimatorParams, estimate_frame, result_to_line
 from .roi import (
@@ -41,7 +41,6 @@ from .reports import (
     write_text,
 )
 from .simulate import (
-    FRAME_RATE_HZ,
     NoiseModel,
     Scenario,
     ScenarioError,
@@ -249,13 +248,11 @@ def cmd_estimate(args) -> int:
     frames = 0
     estimates = 0
     commits = 0
-    prev_t = None
     start = time.perf_counter()
     try:
         for frame in read_frames(lines, errors="skip", on_skip=on_skip):
             if tracker is not None:
-                frame = _smooth_frame(tracker, frame, prev_t)
-            prev_t = frame.timestamp
+                frame = tracker.smooth(frame)
             result = estimate_frame(frame, strategy, params, intr)
             frames += 1
             if result.estimate is not None:
@@ -290,22 +287,6 @@ def cmd_estimate(args) -> int:
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-def _smooth_frame(tracker: DetectionTracker, frame, prev_t):
-    dt = (frame.timestamp - prev_t) if prev_t is not None else 1.0 / FRAME_RATE_HZ
-    rois = ([frame.face] if frame.face is not None else []) + list(frame.hands)
-    detections = [roi.source_bbox for roi in rois]
-    smoothed = tracker.step(detections, dt)
-    face = None
-    hands = []
-    for roi, tracked in zip(rois, smoothed):
-        updated = roi.with_bbox(tracked.bbox)
-        if updated.label == "face":
-            face = updated
-        else:
-            hands.append(updated)
-    return DetectionFrame(frame.timestamp, face, tuple(hands))
 
 
 def cmd_simulate(args) -> int:

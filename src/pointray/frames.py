@@ -32,12 +32,15 @@ except ImportError:  # optional: without it every line takes the stdlib path
 FACE = "face"
 HAND = "hand"
 
+FRAME_RATE_HZ = 30.0  # nominal sensor rate; the time step before a stream's first frame
+
 # Lines nested deeper than this are rejected before either decoder runs.
 # orjson 3.8 recurses without a depth limit and overflows the C stack (tens
 # of thousands of levels in an 8 MB stack, fewer in a thread), while the
 # stdlib raises RecursionError near the interpreter's recursion limit, so
-# its outcome would depend on the caller's stack. A valid frame nests 5 deep.
-_MAX_DEPTH = 512
+# its outcome would depend on the caller's stack. A valid frame nests 5 deep,
+# and 64 levels still decode under a caller 500 frames deep.
+_MAX_DEPTH = 64
 _ESCAPE_PAIR = re.compile(r"\\.", re.DOTALL)
 # the bytes bytes.translate deletes so that only quotes and brackets remain
 _NOT_STRUCTURE = bytes(range(256)).translate(None, b'"[]{}')
@@ -66,10 +69,11 @@ class BoundingBox:
     confidence: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.u_min < self.u_max:
-            raise FrameFormatError(f"u_min must be < u_max, got [{self.u_min}, {self.u_max}]")
-        if not self.v_min < self.v_max:
-            raise FrameFormatError(f"v_min must be < v_max, got [{self.v_min}, {self.v_max}]")
+        # The span and twice the center of finite corners can still overflow.
+        for axis, lo, hi in (("u", self.u_min, self.u_max), ("v", self.v_min, self.v_max)):
+            if not (lo < hi and math.isfinite(hi - lo) and math.isfinite(hi + lo)):
+                raise FrameFormatError(f"{axis}_min must be < {axis}_max with a finite "
+                                       f"span and center, got [{lo}, {hi}]")
         if self.label not in (FACE, HAND):
             raise FrameFormatError(f"label must be 'face' or 'hand', got {self.label!r}")
         if not 0.0 <= self.confidence <= 1.0:
@@ -92,37 +96,55 @@ class BoundingBox:
         return (u >= self.u_min) & (u <= self.u_max) & (v >= self.v_min) & (v <= self.v_max)
 
 
+def _sample_rows(samples, bbox: BoundingBox) -> tuple[np.ndarray, np.ndarray]:
+    """``samples`` as (n, 3) floats, (0, 3) when empty, and the mask of the
+    rows an ROI may hold: z > 0 and (u, v) inside ``bbox``."""
+    arr = np.asarray(samples, dtype=float)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise FrameFormatError(f"samples must be [[u, v, z], ...], got shape {arr.shape}")
+    return arr, (arr[:, 2] > 0) & bbox.inside(arr[:, 0], arr[:, 1])
+
+
 @dataclass(frozen=True, eq=False)
 class RoiPointSet:
     """Depth samples belonging to one detected region of interest.
 
     ``samples`` is an (n, 3) float array with columns u, v, z. All samples
     lie inside ``source_bbox`` and have positive depth; a raw detection may
-    legitimately carry zero samples (the sensor returned nothing).
+    legitimately carry zero samples (the sensor returned nothing). Only the
+    constructor checks this; sets of rows known to pass skip the check.
     """
 
-    label: str
     samples: np.ndarray
     source_bbox: BoundingBox
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.size == 0:
-            arr = arr.reshape(0, 3)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise FrameFormatError(f"samples must have shape (n, 3), got {arr.shape}")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-        if self.label != self.source_bbox.label:
-            raise FrameFormatError(
-                f"label {self.label!r} does not match bbox label {self.source_bbox.label!r}"
-            )
-        if arr.shape[0]:
-            if not (arr[:, 2] > 0).all():
-                raise FrameFormatError("all depth samples must have z > 0")
-            if not self.source_bbox.inside(arr[:, 0], arr[:, 1]).all():
-                raise FrameFormatError("depth samples must lie inside their bounding box")
+        arr, valid = _sample_rows(self.samples, self.source_bbox)
+        if not valid.all():
+            raise FrameFormatError("depth samples must have z > 0 and lie inside their bbox")
+        object.__setattr__(self, "samples", np.ascontiguousarray(arr))
+        self.samples.setflags(write=False)
+
+    @classmethod
+    def _unchecked(cls, samples: np.ndarray, bbox: BoundingBox) -> "RoiPointSet":
+        """An ROI over (n, 3) float rows that pass the constructor's check."""
+        roi = object.__new__(cls)  # skips __init__ and so __post_init__
+        object.__setattr__(roi, "samples", np.ascontiguousarray(samples))
+        object.__setattr__(roi, "source_bbox", bbox)
+        roi.samples.setflags(write=False)
+        return roi
+
+    @classmethod
+    def _valid_part(cls, samples, bbox: BoundingBox) -> "RoiPointSet":
+        """An ROI over the rows of ``samples`` that pass the constructor's check."""
+        arr, valid = _sample_rows(samples, bbox)
+        return cls._unchecked(arr[valid], bbox)
+
+    @property
+    def label(self) -> str:
+        return self.source_bbox.label
 
     @property
     def u(self) -> np.ndarray:
@@ -139,16 +161,9 @@ class RoiPointSet:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    def subset(self, mask_or_indices) -> "RoiPointSet":
-        """Same bbox, restricted sample set."""
-        return RoiPointSet(self.label, self.samples[mask_or_indices], self.source_bbox)
-
     def with_bbox(self, bbox: BoundingBox) -> "RoiPointSet":
         """Rebind to a new bbox, dropping samples that fall outside it."""
-        arr = self.samples
-        if arr.shape[0]:
-            arr = arr[bbox.inside(arr[:, 0], arr[:, 1])]
-        return RoiPointSet(bbox.label, arr, bbox)
+        return RoiPointSet._valid_part(self.samples, bbox)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,14 +228,8 @@ def _roi_from_dict(obj: dict, label: str, drop_bad_samples: bool) -> RoiPointSet
         raise FrameFormatError(f"bbox must be [u0, v0, u1, v1], got {bbox_vals!r}")
     coords = [_number(c, "bbox coordinate") for c in bbox_vals]
     bbox = BoundingBox(*coords, label=label, confidence=_number(conf, "conf"))
-    arr = _sample_array(raw)
-    if arr.size == 0:
-        arr = arr.reshape(0, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise FrameFormatError(f"samples must be [[u, v, z], ...], got shape {arr.shape}")
-    if drop_bad_samples and arr.shape[0]:
-        arr = arr[(arr[:, 2] > 0) & bbox.inside(arr[:, 0], arr[:, 1])]
-    return RoiPointSet(label, arr, bbox)
+    build = RoiPointSet._valid_part if drop_bad_samples else RoiPointSet
+    return build(_sample_array(raw), bbox)
 
 
 def _nesting_depth(line: str) -> int:

@@ -74,13 +74,11 @@ class EstimatorParams:
 class PointingEstimate:
     """One frame's pointing vector in world coordinates."""
 
-    timestamp: float
     face_kp: np.ndarray  # world (X, Y, Z)
     hand_kp: np.ndarray
     direction: tuple[float, float, float]  # face_kp - hand_kp, unnormalized
     pitch_deg: float
     yaw_deg: float
-    strategy: KeypointStrategy
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def estimate_frame(
     except DegenerateDirectionError:
         # Coincident keypoints: no usable ray, hence nothing to intersect.
         return FrameResult(t, None, None, REASON_NO_GROUND_HIT)
-    estimate = PointingEstimate(t, face_kp, hand_kp, direction, pitch, yaw, strategy)
+    estimate = PointingEstimate(face_kp, hand_kp, direction, pitch, yaw)
     try:
         goal = ground_intersection_world(face_kp, hand_kp)
     except NoGroundIntersectionError:

@@ -78,7 +78,7 @@ def cobb_filter(roi: RoiPointSet, ratio: float = DEFAULT_COBB_RATIO) -> RoiPoint
         raise EmptyRoiError(
             f"no {roi.label} samples within {radius:.1f}px of the bbox center"
         )
-    return roi.subset(mask)
+    return RoiPointSet._unchecked(roi.samples[mask], bbox)
 
 
 def dbscan_depth(

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frames import FACE, HAND, BoundingBox, DetectionFrame, RoiPointSet
+from .frames import FACE, FRAME_RATE_HZ, HAND, BoundingBox, DetectionFrame, RoiPointSet
 from .geometry import CameraIntrinsics, project
 from .pointing import EstimatorParams, angular_error_deg, estimate_frame, ray_angles
 from .roi import KeypointStrategy
@@ -35,7 +35,6 @@ FACE_SIZE_M = (0.18, 0.24)  # physical width, height
 HAND_SIZE_M = (0.16, 0.16)
 BBOX_MARGIN = 1.35  # detector boxes run slightly larger than the object
 FG_DISC_RATIO = 0.30  # surface samples stay nearer the center than the mask radius
-FRAME_RATE_HZ = 30.0
 
 _STREAM_EXPERIMENT_A = 0
 _STREAM_EXPERIMENT_B = 1
@@ -331,9 +330,7 @@ def _synthesize_roi(
     us = np.concatenate([us[keep], ub[keep_bg]])
     vs = np.concatenate([vs[keep], vb[keep_bg]])
     zs = np.concatenate([zs[keep], zb[keep_bg]])
-    ok = (zs > 0) & bbox.inside(us, vs)
-    samples = np.column_stack([us[ok], vs[ok], zs[ok]])
-    return RoiPointSet(label, samples, bbox)
+    return RoiPointSet._valid_part(np.column_stack([us, vs, zs]), bbox)
 
 
 def synthesize_frame(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import BoundingBox
+from .frames import FRAME_RATE_HZ, BoundingBox, DetectionFrame
 from .pointing import GoalPoint
 
 GATE_MODE_GOAL = "goal"
@@ -134,6 +134,19 @@ class DetectionTracker:
         self.params = params or TrackerParams()
         self.tracks: list[Track] = []
         self._next_id = 1
+        self._last_t: float | None = None
+
+    def smooth(self, frame: DetectionFrame) -> DetectionFrame:
+        """Step on ``frame``'s detections and rebind each ROI to its smoothed
+        bbox. dt is the gap to the previous frame, 1 / FRAME_RATE_HZ at first."""
+        t = frame.timestamp
+        dt = 1.0 / FRAME_RATE_HZ if self._last_t is None else t - self._last_t
+        self._last_t = t
+        face = [] if frame.face is None else [frame.face]
+        rois = face + list(frame.hands)
+        smoothed = self.step([roi.source_bbox for roi in rois], dt)
+        rebound = [roi.with_bbox(tracked.bbox) for roi, tracked in zip(rois, smoothed)]
+        return DetectionFrame(t, rebound[0] if face else None, tuple(rebound[len(face):]))
 
     def step(self, detections: list[BoundingBox], dt: float) -> list[TrackedDetection]:
         """Advance one frame; returns a smoothed bbox per input detection."""

@@ -117,6 +117,21 @@ def test_estimate_skips_strings_and_booleans_as_numbers(noiseless_log, tmp_path,
     assert len(read_jsonl(out)) == len(lines)
 
 
+@pytest.mark.parametrize("track", [[], ["--track"]])
+def test_estimate_skips_bboxes_without_finite_extent(track, noiseless_log, tmp_path, capsys):
+    lines = Path(noiseless_log).read_text().splitlines()
+    boxes = ["[0,0,Infinity,10]", "[-1e308,0,1e308,10]", "[1e308,0,1.5e308,10]"]
+    bad = ['{"t":%d,"face":{"bbox":%s,"samples":[]}}' % (t - 3, b) for t, b in enumerate(boxes)]
+    src = tmp_path / "bad.jsonl"
+    src.write_text("\n".join(bad + lines) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["estimate", *track, "-i", str(src), "-o", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("with a finite span and center") == 3
+    assert "skipped: 3" in err
+    assert len(read_jsonl(out)) == len(lines)
+
+
 def test_estimate_bounds_skip_warnings(noiseless_log, tmp_path, capsys):
     lines = Path(noiseless_log).read_text().splitlines()
     src = tmp_path / "bad.jsonl"

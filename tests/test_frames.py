@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,11 +19,14 @@ from pointray.frames import (
     parse_frame,
     read_frames,
 )
+from pointray.geometry import default_intrinsics
+from pointray.roi import EmptyRoiError, cobb_filter
+from pointray.simulate import default_scenario, synthesize_frame
 
 
 def make_roi(label="hand", bbox=(100, 100, 200, 180), samples=((150, 140, 2.0),)):
     bb = BoundingBox(*bbox, label=label)
-    return RoiPointSet(label, np.array(samples, dtype=float), bb)
+    return RoiPointSet(np.array(samples, dtype=float), bb)
 
 
 def make_frame(t=0.0):
@@ -107,13 +112,13 @@ def test_bbox_invariants():
 def test_roi_sample_validation():
     bb = BoundingBox(0, 0, 10, 10, label="hand")
     with pytest.raises(FrameFormatError):
-        RoiPointSet("hand", np.array([[5.0, 5.0, -0.1]]), bb)
+        RoiPointSet(np.array([[5.0, 5.0, -0.1]]), bb)
     with pytest.raises(FrameFormatError):
-        RoiPointSet("hand", np.array([[15.0, 5.0, 1.0]]), bb)
+        RoiPointSet(np.array([[15.0, 5.0, 1.0]]), bb)
     with pytest.raises(FrameFormatError):
-        RoiPointSet("face", np.array([[5.0, 5.0, 1.0]]), bb)
-    empty = RoiPointSet("hand", np.empty((0, 3)), bb)
-    assert len(empty) == 0
+        RoiPointSet(np.array([[5.0, 5.0]]), bb)
+    empty = RoiPointSet(np.empty((0, 3)), bb)
+    assert len(empty) == 0 and empty.label == "hand"
 
 
 def test_roi_samples_are_read_only():
@@ -146,7 +151,7 @@ def _rois(draw, label):
         st.tuples(_unit, _unit, st.floats(0.0, 1e3, exclude_min=True)), max_size=8
     ))
     samples = [(u0 + fu * w, v0 + fv * h, z) for fu, fv, z in rows]
-    return RoiPointSet(label, np.array(samples, dtype=float).reshape(-1, 3), bbox)
+    return RoiPointSet(np.array(samples, dtype=float).reshape(-1, 3), bbox)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -164,6 +169,83 @@ def test_parse_frame_round_trips_frame_to_line(t, face, hands):
         if want is not None:
             assert got.source_bbox == want.source_bbox  # coordinates, label and confidence
             assert np.array_equal(got.samples, want.samples)
+
+
+# ---------------------------------------------------------------------------
+# Sets built without the constructor's check
+# ---------------------------------------------------------------------------
+# Skip-mode parsing, with_bbox, cobb_filter and the simulator mask samples
+# themselves and skip the check; whatever they build must pass it.
+
+def assert_passes_check(roi):
+    again = RoiPointSet(roi.samples, roi.source_bbox)
+    assert np.array_equal(again.samples, roi.samples)
+    assert roi.samples.dtype == float and not roi.samples.flags.writeable
+
+
+_odd = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+
+
+@st.composite
+def _raw_roi(draw):
+    u0, v0 = draw(st.floats(-100, 100)), draw(st.floats(-100, 100))
+    w, h = draw(st.floats(1.0, 100)), draw(st.floats(1.0, 100))
+    near_u = st.floats(u0 - w, u0 + 2 * w) | _odd
+    near_v = st.floats(v0 - h, v0 + 2 * h) | _odd
+    rows = draw(st.lists(st.tuples(near_u, near_v, st.floats(-1.0, 5.0) | _odd), max_size=8))
+    return {"bbox": [u0, v0, u0 + w, v0 + h], "samples": [list(r) for r in rows]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(face=st.none() | _raw_roi(), hands=st.lists(_raw_roi(), max_size=3))
+def test_skip_mode_parse_builds_sets_that_pass_the_check(face, hands):
+    line = json.dumps({"t": 0, "face": face, "hands": hands})
+    frame = parse_frame(line, drop_bad_samples=True)
+    for roi in (frame.face, *frame.hands):
+        if roi is not None:
+            assert_passes_check(roi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(roi=_rois("hand"), box=st.tuples(*[st.floats(-0.5, 1.5)] * 2, *[st.floats(0.01, 1.5)] * 2))
+def test_with_bbox_builds_sets_that_pass_the_check(roi, box):
+    bb = roi.source_bbox
+    u0, v0 = bb.u_min + box[0] * bb.width, bb.v_min + box[1] * bb.height
+    rebound = roi.with_bbox(
+        BoundingBox(u0, v0, u0 + box[2] * bb.width, v0 + box[3] * bb.height, label="hand")
+    )
+    assert_passes_check(rebound)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(roi=_rois("face"), ratio=st.floats(0.0, 0.5, exclude_min=True))
+def test_cobb_filter_builds_sets_that_pass_the_check(roi, ratio):
+    try:
+        kept = cobb_filter(roi, ratio)
+    except EmptyRoiError:
+        return
+    assert kept.source_bbox is roi.source_bbox
+    assert_passes_check(kept)
+
+
+_SCENARIO = default_scenario()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    position=st.sampled_from(_SCENARIO.positions),
+    direction=st.sampled_from(_SCENARIO.directions),
+    beta=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synthesize_frame_builds_sets_that_pass_the_check(position, direction, beta, seed):
+    frame, _ = synthesize_frame(
+        _SCENARIO.subject, position, direction=direction,
+        noise=dataclasses.replace(_SCENARIO.noise, beta=beta),
+        intr=default_intrinsics(), rng=np.random.default_rng(seed),
+    )
+    for roi in (frame.face, *frame.hands):
+        assert_passes_check(roi)
 
 
 _scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -259,17 +341,17 @@ _MEMBERS = ['"s":"a",', '"s":"\\"",', '"s":"\ud800",']
 
 
 @pytest.mark.parametrize("member", _MEMBERS)
-def test_parse_accepts_nesting_of_512_levels(member, decoder):
-    assert parse_frame(_nested_frame(512, member)).timestamp == 0.0
+def test_parse_accepts_nesting_of_64_levels(member, decoder):
+    assert parse_frame(_nested_frame(64, member)).timestamp == 0.0
 
 
 # Under a raised recursion limit the stdlib decodes 600 levels, so only a
 # fixed limit makes the outcome independent of the caller's stack; orjson 3.8
 # overflows the C stack on the deepest line.
 @pytest.mark.parametrize("recursion_limit", [None, 5_000])
-@pytest.mark.parametrize("levels", [513, 600, 200_001])
+@pytest.mark.parametrize("levels", [65, 600, 200_001])
 @pytest.mark.parametrize("member", _MEMBERS)
-def test_parse_nesting_beyond_512_levels_is_a_format_error(
+def test_parse_nesting_beyond_64_levels_is_a_format_error(
     levels, member, recursion_limit, decoder
 ):
     line = _nested_frame(levels, member)
@@ -277,10 +359,23 @@ def test_parse_nesting_beyond_512_levels_is_a_format_error(
     try:
         if recursion_limit is not None:
             sys.setrecursionlimit(recursion_limit)
-        with pytest.raises(FrameFormatError, match="nested deeper than 512 levels"):
+        with pytest.raises(FrameFormatError, match="nested deeper than 64 levels"):
             parse_frame(line)
     finally:
         sys.setrecursionlimit(old_limit)
+
+
+def _at_stack_depth(depth, fn):
+    return fn() if depth == 0 else _at_stack_depth(depth - 1, fn)
+
+
+@pytest.mark.parametrize("member", _MEMBERS)
+def test_deepest_accepted_line_parses_under_a_deep_caller_stack(member, monkeypatch):
+    # The stdlib decoder recurses once per level within the interpreter's
+    # recursion limit (1,000 by default), which a deep caller has used up.
+    monkeypatch.setattr(frames, "orjson", None)
+    line = _nested_frame(frames._MAX_DEPTH, member)
+    assert _at_stack_depth(500, lambda: parse_frame(line)).timestamp == 0.0
 
 
 _ODD_NUMBER = st.sampled_from([

@@ -173,7 +173,7 @@ def test_goal_translates_with_keypoints():
 # ---------------------------------------------------------------------------
 
 def roi(label, box, samples):
-    return RoiPointSet(label, np.array(samples, dtype=float).reshape(-1, 3),
+    return RoiPointSet(np.array(samples, dtype=float).reshape(-1, 3),
                        BoundingBox(*box, label=label))
 
 
@@ -285,7 +285,7 @@ _hand_box = st.tuples(
 )
 def test_estimate_frame_does_not_depend_on_hand_order(boxes, data, intr):
     hands = [
-        RoiPointSet("hand", np.array([[u + 25, v + 25, z], [u + 26, v + 26, z]]),
+        RoiPointSet(np.array([[u + 25, v + 25, z], [u + 26, v + 26, z]]),
                     bbox(u, v, u + 50, v + 50, conf=c))
         for u, v, c, z in boxes
     ]

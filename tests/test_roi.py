@@ -20,7 +20,7 @@ from pointray.roi import (
 
 def roi_from(samples, bbox=(0, 0, 100, 60), label="hand"):
     bb = BoundingBox(*bbox, label=label)
-    return RoiPointSet(label, np.array(samples, dtype=float).reshape(-1, 3), bb)
+    return RoiPointSet(np.array(samples, dtype=float).reshape(-1, 3), bb)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ def test_keypoint_dbscan_all_noise_raises(intr):
 
 
 def test_keypoint_empty_roi_raises(intr):
-    roi = RoiPointSet("hand", np.empty((0, 3)), BoundingBox(0, 0, 10, 10, label="hand"))
+    roi = RoiPointSet(np.empty((0, 3)), BoundingBox(0, 0, 10, 10, label="hand"))
     for strategy in KeypointStrategy:
         with pytest.raises(EmptyRoiError):
             estimate_keypoint(roi, strategy, intr)

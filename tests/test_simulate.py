@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import ray_plane_oracle
-from pointray.frames import frame_to_line
+from pointray.frames import RoiPointSet, frame_to_line
 from pointray.pointing import EstimatorParams, angular_error_deg, estimate_frame
 from pointray.roi import KeypointStrategy
 from pointray.simulate import (
@@ -147,8 +147,8 @@ def test_noiseless_recovery_all_strategies(intr):
 
 
 def test_samples_respect_frame_invariants(intr):
-    # construction would raise if any sample fell outside its bbox or z <= 0;
-    # run a spread of poses to exercise the jittered paths
+    # the simulator builds its ROIs without the constructor's check, so
+    # rebuild them through it; a spread of poses exercises the jittered paths
     sc = default_scenario()
     g = rng(5)
     for pos in sc.positions[::4]:
@@ -156,6 +156,7 @@ def test_samples_respect_frame_invariants(intr):
                                     noise=sc.noise, intr=intr, rng=g)
         for roi_set in (frame.face, *frame.hands):
             assert (roi_set.z > 0).all()
+            RoiPointSet(roi_set.samples, roi_set.source_bbox)
 
 
 def test_direction_or_target_exclusive(intr):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ScalarCvKalman, kalman_steady_state_gain
-from pointray.frames import BoundingBox
+from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
 from pointray.pointing import GoalPoint
 from pointray.tracking import (
     CommittedGoal,
@@ -180,6 +180,27 @@ def test_smoothed_output_per_detection():
     assert [r.detection_index for r in out] == [0, 1]
     # a new track's posterior equals its first measurement
     assert out[0].bbox.center == pytest.approx((100.0, 100.0))
+
+
+def test_smooth_steps_on_frame_gaps_and_rebinds_rois():
+    def roi(cu, cv, label="hand"):
+        return RoiPointSet(np.array([[cu, cv, 1.0], [cu + 20, cv, 1.0]]), box(cu, cv, label=label))
+
+    frames = [
+        DetectionFrame(0.5, None, (roi(100, 100), roi(300, 100))),
+        DetectionFrame(0.6, roi(400, 80, "face"), (roi(104, 100),)),
+    ]
+    tracker, reference = DetectionTracker(), DetectionTracker()
+    for frame, dt in zip(frames, (DT, 0.6 - 0.5)):
+        smoothed = tracker.smooth(frame)
+        assert smoothed.timestamp == frame.timestamp
+        assert (smoothed.face is None) == (frame.face is None)
+        rois = [r for r in (frame.face, *frame.hands) if r is not None]
+        want = reference.step([r.source_bbox for r in rois], dt)
+        got = [r for r in (smoothed.face, *smoothed.hands) if r is not None]
+        assert [r.source_bbox for r in got] == [w.bbox for w in want]
+    # the sample on the hand's right edge falls outside its smoothed bbox
+    assert len(smoothed.hands[0]) == 1
 
 
 def test_association_gate_formula():
