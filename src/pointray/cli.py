@@ -207,17 +207,16 @@ def cmd_estimate(args) -> int:
     intr = _load_intrinsics(args.intrinsics)
     params = _params_from_args(args)
     strategy = KeypointStrategy.from_name(args.strategy)
-    tracker = None
-    if args.track:
-        tracker = DetectionTracker(TrackerParams(
-            sigma_accel=args.track_sigma_accel,
-            sigma_meas=args.track_sigma_meas,
-            miss_limit=args.track_miss_limit,
-            image_width=intr.width,
-        ))
-    gate = None
-    if args.gate:
-        try:
+    tracker = gate = None
+    try:
+        if args.track:
+            tracker = DetectionTracker(TrackerParams(
+                sigma_accel=args.track_sigma_accel,
+                sigma_meas=args.track_sigma_meas,
+                miss_limit=args.track_miss_limit,
+                image_width=intr.width,
+            ))
+        if args.gate:
             gate = GoalGate(GateParams(
                 window=args.gate_window,
                 tau=args.gate_tau,
@@ -225,8 +224,8 @@ def cmd_estimate(args) -> int:
                 mode=args.gate_mode,
                 max_age_s=args.gate_max_age,
             ))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     if args.input == "-":
         lines = sys.stdin
@@ -415,6 +414,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "frames", None) is not None and args.frames < 1:
+            raise UsageError(f"--frames must be at least 1, got {args.frames}")
         if args.command == "estimate":
             return cmd_estimate(args)
         if args.command == "simulate":

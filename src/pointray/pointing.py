@@ -64,7 +64,7 @@ class EstimatorParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.cobb_ratio <= 0.5:
             raise ValueError(f"cobb_ratio must lie in (0, 0.5], got {self.cobb_ratio}")
-        if self.dbscan_eps <= 0:
+        if not self.dbscan_eps > 0:
             raise ValueError(f"dbscan_eps must be positive, got {self.dbscan_eps}")
         if self.dbscan_min_pts < 1:
             raise ValueError(f"dbscan_min_pts must be >= 1, got {self.dbscan_min_pts}")

@@ -99,7 +99,7 @@ def dbscan_depth(
     lowest core depth and each lists its member indices in ascending input
     order.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")

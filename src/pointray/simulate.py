@@ -16,6 +16,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -135,19 +136,16 @@ class Scenario:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(tuple(p) for p in self.positions))
-        object.__setattr__(self, "directions", tuple(tuple(d) for d in self.directions))
-        object.__setattr__(
-            self, "floor_targets", tuple(tuple(t) for t in self.floor_targets)
-        )
+        for name in ("positions", "directions", "floor_targets"):
+            object.__setattr__(self, name, tuple(tuple(p) for p in getattr(self, name)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         return cls(
             subject=SubjectModel(**data.get("subject", {})),
-            positions=tuple(tuple(p) for p in data.get("positions", [])),
-            directions=tuple(tuple(d) for d in data.get("directions", [])),
-            floor_targets=tuple(tuple(t) for t in data.get("floor_targets", [])),
+            positions=data.get("positions", ()),
+            directions=data.get("directions", ()),
+            floor_targets=data.get("floor_targets", ()),
             frames_per_pose=int(data.get("frames_per_pose", 60)),
             seed=int(data.get("seed", 42)),
             noise=NoiseModel(**data.get("noise", {})),
@@ -196,24 +194,19 @@ def direction_unit(pitch_deg: float, yaw_deg: float) -> np.ndarray:
     return np.array([math.sin(yaw) * ch, math.cos(yaw) * ch, -math.sin(pitch)])
 
 
-def subject_ground_position(position: tuple[float, float]) -> tuple[float, float]:
+def _pose_geometry(
+    subject: SubjectModel,
+    position: tuple[float, float],
+    direction: tuple[float, float] | None = None,
+    target: tuple[float, float] | None = None,
+) -> GroundTruth:
+    if (direction is None) == (target is None):
+        raise ValueError("exactly one of direction or target must be given")
     range_m, bearing_deg = position
     if range_m <= 0:
         raise ValueError(f"range must be positive, got {range_m}")
     b = math.radians(bearing_deg)
-    return (range_m * math.sin(b), range_m * math.cos(b))
-
-
-def _pose_geometry(
-    subject: SubjectModel,
-    position: tuple[float, float],
-    direction: tuple[float, float] | None,
-    target: tuple[float, float] | None,
-) -> GroundTruth:
-    if (direction is None) == (target is None):
-        raise ValueError("exactly one of direction or target must be given")
-    gx, gy = subject_ground_position(position)
-    eye = np.array([gx, gy, subject.eye_height])
+    eye = np.array([range_m * math.sin(b), range_m * math.cos(b), subject.eye_height])
     if direction is not None:
         unit = direction_unit(*direction)
     else:
@@ -242,32 +235,29 @@ def _roi_layout(
     center_world: np.ndarray,
     phys_size: tuple[float, float],
     label: str,
+    noise: NoiseModel,
     intr: CameraIntrinsics,
 ) -> tuple[float, float, float, float, float]:
-    """Project an object center; returns (u, v, z, bbox_w_px, bbox_h_px)."""
+    """Project an object center; returns (u, v, z, bbox_w_px, bbox_h_px).
+    The bbox must stay inside the image under jitter up to 3 sigma."""
     z = center_world[1]
     if z <= 0.1:
         raise PoseUnrenderableError(f"{label} sits at depth {z:.2f} m, too close")
     u, v, _ = project(center_world, intr)
     w_px = intr.fx * phys_size[0] * BBOX_MARGIN / z
     h_px = intr.fy * phys_size[1] * BBOX_MARGIN / z
-    return u, v, z, w_px, h_px
-
-
-def _check_bbox_inside(
-    u0: float, v0: float, w_px: float, h_px: float, margin: float,
-    intr: CameraIntrinsics, label: str,
-) -> None:
+    margin = 3.0 * noise.bbox_jitter_px
     if (
-        u0 - 0.5 * w_px - margin < 0
-        or v0 - 0.5 * h_px - margin < 0
-        or u0 + 0.5 * w_px + margin > intr.width - 1
-        or v0 + 0.5 * h_px + margin > intr.height - 1
+        u - 0.5 * w_px - margin < 0
+        or v - 0.5 * h_px - margin < 0
+        or u + 0.5 * w_px + margin > intr.width - 1
+        or v + 0.5 * h_px + margin > intr.height - 1
     ):
         raise PoseUnrenderableError(
-            f"{label} bbox leaves the image (center {u0:.0f},{v0:.0f}, "
+            f"{label} bbox leaves the image (center {u:.0f},{v:.0f}, "
             f"size {w_px:.0f}x{h_px:.0f})"
         )
+    return u, v, z, w_px, h_px
 
 
 def _synthesize_roi(
@@ -279,9 +269,7 @@ def _synthesize_roi(
     intr: CameraIntrinsics,
     rng: np.random.Generator,
 ) -> RoiPointSet:
-    u0, v0, z, w_px, h_px = _roi_layout(center_world, phys_size, label, intr)
-    jitter_cap = 3.0 * noise.bbox_jitter_px
-    _check_bbox_inside(u0, v0, w_px, h_px, jitter_cap, intr, label)
+    u0, v0, z, w_px, h_px = _roi_layout(center_world, phys_size, label, noise, intr)
     # Clipped at 3 sigma so renderability checked at validation time holds.
     jitter = np.clip(rng.normal(0.0, 1.0, 2), -3.0, 3.0) * noise.bbox_jitter_px
     cu, cv = u0 + jitter[0], v0 + jitter[1]
@@ -354,10 +342,11 @@ def synthesize_frame(
     return frame, truth
 
 
-def _cell_aims(scenario: Scenario, use_targets: bool) -> list[tuple]:
+def _aims(scenario: Scenario, use_targets: bool) -> list[dict]:
+    """The scenario's aims as ``synthesize_frame`` keyword arguments."""
     if use_targets:
-        return [("target", t) for t in scenario.floor_targets]
-    return [("direction", d) for d in scenario.directions]
+        return [{"target": t} for t in scenario.floor_targets]
+    return [{"direction": d} for d in scenario.directions]
 
 
 def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
@@ -380,25 +369,14 @@ def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
                 f"camera's +/-{half_hfov:.0f} deg field of view"
             )
             continue
-        for kind, aim in _cell_aims(scenario, use_targets=False) + _cell_aims(
-            scenario, use_targets=True
-        ):
+        for aim in _aims(scenario, use_targets=False) + _aims(scenario, use_targets=True):
             try:
-                truth = _pose_geometry(
-                    scenario.subject,
-                    (range_m, bearing_deg),
-                    aim if kind == "direction" else None,
-                    aim if kind == "target" else None,
-                )
-                margin = 3.0 * scenario.noise.bbox_jitter_px
-                for world_pt, size, label in (
-                    (truth.eye, FACE_SIZE_M, FACE),
-                    (truth.fingertip, HAND_SIZE_M, HAND),
-                ):
-                    u0, v0, _, w_px, h_px = _roi_layout(world_pt, size, label, intr)
-                    _check_bbox_inside(u0, v0, w_px, h_px, margin, intr, label)
+                truth = _pose_geometry(scenario.subject, (range_m, bearing_deg), **aim)
+                _roi_layout(truth.eye, FACE_SIZE_M, FACE, scenario.noise, intr)
+                _roi_layout(truth.fingertip, HAND_SIZE_M, HAND, scenario.noise, intr)
             except (PoseUnrenderableError, ValueError) as exc:
-                errors.append(f"positions[{i}] x {kind} {aim}: {exc}")
+                [(kind, value)] = aim.items()
+                errors.append(f"positions[{i}] x {kind} {value}: {exc}")
     return errors
 
 
@@ -484,26 +462,28 @@ class GoalSummaryRow:
         return self.goals / self.frames if self.frames else 0.0
 
 
-def _wrap_angle_deg(a: float) -> float:
-    return (a + 180.0) % 360.0 - 180.0
+def _cell_frames(scenario: Scenario, intr: CameraIntrinsics, pos_idx: int, aim_idx: int,
+                 frames: int, *, use_targets: bool):
+    """Yield one grid cell's (DetectionFrame, GroundTruth) pairs at 30 Hz from
+    the cell's own generator, so serial and parallel runs agree."""
+    aims = _aims(scenario, use_targets)
+    stream = _STREAM_EXPERIMENT_B if use_targets else _STREAM_EXPERIMENT_A
+    rng = np.random.default_rng([scenario.seed, stream, pos_idx * len(aims) + aim_idx])
+    for k in range(frames):
+        yield synthesize_frame(
+            scenario.subject, scenario.positions[pos_idx], **aims[aim_idx],
+            noise=scenario.noise, intr=intr, rng=rng, timestamp=k / FRAME_RATE_HZ,
+        )
 
 
 def _run_cell_a(args) -> list[AngleCellResult]:
     scenario, intr, params, strategies, pos_idx, dir_idx, frames = args
-    position = scenario.positions[pos_idx]
-    direction = scenario.directions[dir_idx]
-    cell_index = pos_idx * len(scenario.directions) + dir_idx
-    rng = np.random.default_rng([scenario.seed, _STREAM_EXPERIMENT_A, cell_index])
     errs = {s: np.full(frames, np.nan) for s in strategies}
     dps = {s: np.full(frames, np.nan) for s in strategies}
     dys = {s: np.full(frames, np.nan) for s in strategies}
     counts = {s: 0 for s in strategies}
-    for k in range(frames):
-        frame, truth = synthesize_frame(
-            scenario.subject, position, direction=direction,
-            noise=scenario.noise, intr=intr, rng=rng,
-            timestamp=k / FRAME_RATE_HZ,
-        )
+    cell = _cell_frames(scenario, intr, pos_idx, dir_idx, frames, use_targets=False)
+    for k, (frame, truth) in enumerate(cell):
         for strategy in strategies:
             result = estimate_frame(frame, strategy, params, intr)
             if result.estimate is None:
@@ -512,7 +492,9 @@ def _run_cell_a(args) -> list[AngleCellResult]:
             est = result.estimate
             errs[strategy][k] = angular_error_deg(est.direction, truth.ray)
             dps[strategy][k] = est.pitch_deg - truth.pitch_deg
-            dys[strategy][k] = _wrap_angle_deg(est.yaw_deg - truth.yaw_deg)
+            dys[strategy][k] = (est.yaw_deg - truth.yaw_deg + 180.0) % 360.0 - 180.0
+    position = scenario.positions[pos_idx]
+    direction = scenario.directions[dir_idx]
     return [
         AngleCellResult(
             range_m=position[0],
@@ -532,18 +514,10 @@ def _run_cell_a(args) -> list[AngleCellResult]:
 
 def _run_cell_b(args) -> GoalCellResult:
     scenario, intr, params, strategy, pos_idx, tgt_idx, frames = args
-    position = scenario.positions[pos_idx]
-    target = scenario.floor_targets[tgt_idx]
-    cell_index = pos_idx * len(scenario.floor_targets) + tgt_idx
-    rng = np.random.default_rng([scenario.seed, _STREAM_EXPERIMENT_B, cell_index])
     err = np.full(frames, np.nan)
     goals = 0
-    for k in range(frames):
-        frame, truth = synthesize_frame(
-            scenario.subject, position, target=target,
-            noise=scenario.noise, intr=intr, rng=rng,
-            timestamp=k / FRAME_RATE_HZ,
-        )
+    cell = _cell_frames(scenario, intr, pos_idx, tgt_idx, frames, use_targets=True)
+    for k, (frame, truth) in enumerate(cell):
         result = estimate_frame(frame, strategy, params, intr)
         if result.goal is None or truth.goal is None:
             continue
@@ -551,10 +525,11 @@ def _run_cell_b(args) -> GoalCellResult:
         err[k] = 100.0 * math.hypot(
             result.goal.x - truth.goal[0], result.goal.y - truth.goal[1]
         )
+    position = scenario.positions[pos_idx]
     return GoalCellResult(
         range_m=position[0],
         bearing_deg=position[1],
-        target=target,
+        target=scenario.floor_targets[tgt_idx],
         strategy=strategy.value,
         frames=frames,
         goals=goals,
@@ -562,11 +537,22 @@ def _run_cell_b(args) -> GoalCellResult:
     )
 
 
-def _map_tasks(worker, tasks, jobs: int):
+def _run_grid(run_cell, scenario: Scenario, intr: CameraIntrinsics, scoring,
+              params: EstimatorParams | None, frames_per_cell: int | None, jobs: int,
+              *, use_targets: bool) -> list:
+    """Run ``run_cell`` on every (position, aim) cell in grid order, serially
+    or over ``jobs`` worker processes. ``None`` params and frame counts mean
+    the defaults and the scenario's ``frames_per_pose``."""
+    params = EstimatorParams() if params is None else params
+    frames = scenario.frames_per_pose if frames_per_cell is None else frames_per_cell
+    cells = itertools.product(
+        range(len(scenario.positions)), range(len(_aims(scenario, use_targets)))
+    )
+    tasks = [(scenario, intr, params, scoring, i, j, frames) for i, j in cells]
     if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
+        return [run_cell(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(run_cell, tasks))
 
 
 def run_experiment_a(
@@ -583,14 +569,8 @@ def run_experiment_a(
     The same synthesized frames are scored under every strategy, so
     strategy-to-strategy comparisons are paired.
     """
-    params = params or EstimatorParams()
-    frames = frames_per_cell or scenario.frames_per_pose
-    tasks = [
-        (scenario, intr, params, tuple(strategies), i, j, frames)
-        for i in range(len(scenario.positions))
-        for j in range(len(scenario.directions))
-    ]
-    results = _map_tasks(_run_cell_a, tasks, jobs)
+    results = _run_grid(_run_cell_a, scenario, intr, tuple(strategies), params,
+                        frames_per_cell, jobs, use_targets=False)
     return [cell for group in results for cell in group]
 
 
@@ -604,14 +584,8 @@ def run_experiment_b(
     jobs: int = 1,
 ) -> list[GoalCellResult]:
     """Floor-goal accuracy over every (position, floor target) grid cell."""
-    params = params or EstimatorParams()
-    frames = frames_per_cell or scenario.frames_per_pose
-    tasks = [
-        (scenario, intr, params, strategy, i, j, frames)
-        for i in range(len(scenario.positions))
-        for j in range(len(scenario.floor_targets))
-    ]
-    return _map_tasks(_run_cell_b, tasks, jobs)
+    return _run_grid(_run_cell_b, scenario, intr, strategy, params,
+                     frames_per_cell, jobs, use_targets=True)
 
 
 def summarize_goal_by_distance(cells: list[GoalCellResult]) -> list[GoalSummaryRow]:
@@ -647,24 +621,15 @@ def simulate_log(
     Frames carry globally increasing timestamps so the emitted log is a
     valid detector stream.
     """
-    aims = _cell_aims(scenario, use_targets)
     rng = np.random.default_rng([scenario.seed, _STREAM_LOG])
-    frame_no = 0
-    for position in scenario.positions:
-        for kind, aim in aims:
-            for _ in range(scenario.frames_per_pose):
-                frame, truth = synthesize_frame(
-                    scenario.subject,
-                    position,
-                    direction=aim if kind == "direction" else None,
-                    target=aim if kind == "target" else None,
-                    noise=scenario.noise,
-                    intr=intr,
-                    rng=rng,
-                    timestamp=frame_no / FRAME_RATE_HZ,
-                )
-                frame_no += 1
-                yield frame, truth
+    grid = itertools.product(
+        scenario.positions, _aims(scenario, use_targets), range(scenario.frames_per_pose)
+    )
+    for frame_no, (position, aim, _) in enumerate(grid):
+        yield synthesize_frame(
+            scenario.subject, position, **aim, noise=scenario.noise, intr=intr,
+            rng=rng, timestamp=frame_no / FRAME_RATE_HZ,
+        )
 
 
 def truth_to_dict(truth: GroundTruth, timestamp: float) -> dict:

@@ -16,6 +16,7 @@ seam is no blind spot.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -27,6 +28,11 @@ from .pointing import GoalPoint
 GATE_MODE_GOAL = "goal"
 GATE_MODE_DIRECTION = "direction"
 
+# association gate radius bounds, px
+GATE_MIN_PX = 30.0
+GATE_MAX_PX = 150.0
+INIT_SPEED_SIGMA = 200.0  # px/s prior uncertainty on a new track's velocity
+
 
 @dataclass(frozen=True)
 class TrackerParams:
@@ -36,14 +42,19 @@ class TrackerParams:
     sigma_meas: float = 4.0  # px measurement noise on center and size
     miss_limit: int = 5  # consecutive unmatched frames before a track dies
     image_width: int = 640
-    gate_min_px: float = 30.0
-    gate_max_px: float = 150.0
-    init_speed_sigma: float = 200.0  # px/s prior uncertainty on velocity
+
+    def __post_init__(self) -> None:
+        if not 0 < self.sigma_meas < math.inf:
+            raise ValueError(f"sigma_meas must be finite and positive, got {self.sigma_meas}")
+        if not 0 <= self.sigma_accel < math.inf:
+            raise ValueError(f"sigma_accel must be finite and >= 0, got {self.sigma_accel}")
+        if self.miss_limit < 0:
+            raise ValueError(f"miss_limit must be >= 0, got {self.miss_limit}")
 
 
 def association_gate_px(params: TrackerParams, dt: float) -> float:
     gate = 0.5 * params.image_width * dt * 4.0
-    return min(max(gate, params.gate_min_px), params.gate_max_px)
+    return min(max(gate, GATE_MIN_PX), GATE_MAX_PX)
 
 
 class Track:
@@ -68,19 +79,24 @@ class Track:
         self.size = np.array([bbox.width, bbox.height])
         self.p_pos = self.p_size = params.sigma_meas**2
         self.p_cross = 0.0
-        self.p_vel = params.init_speed_sigma**2
+        self.p_vel = INIT_SPEED_SIGMA**2
         self._params = params
 
     def predict(self, dt: float) -> None:
+        """Advance the state by ``dt`` seconds. Raises OverflowError, leaving
+        the track as it was, when the covariance would not fit in a float."""
         sa2 = self._params.sigma_accel**2
         q_pos = 0.25 * dt**4 * sa2
-        self.center = self.center + dt * self.velocity
         # F P F^T + Q with F = [[1, dt], [0, 1]], white-acceleration Q.
-        self.p_pos += 2.0 * dt * self.p_cross + dt * dt * self.p_vel + q_pos
-        self.p_cross += dt * self.p_vel + 0.5 * dt**3 * sa2
-        self.p_vel += dt**2 * sa2
+        p_pos = self.p_pos + (2.0 * dt * self.p_cross + dt * dt * self.p_vel + q_pos)
+        p_cross = self.p_cross + (dt * self.p_vel + 0.5 * dt**3 * sa2)
+        p_vel = self.p_vel + dt**2 * sa2
         # Sizes have no velocity state; a small random walk keeps them adaptive.
-        self.p_size += q_pos
+        p_size = self.p_size + q_pos
+        if not all(map(math.isfinite, (p_pos, p_cross, p_vel, p_size))):
+            raise OverflowError(f"track covariance overflows over a {dt} s gap")
+        self.center = self.center + dt * self.velocity
+        self.p_pos, self.p_cross, self.p_vel, self.p_size = p_pos, p_cross, p_vel, p_size
 
     def update(self, bbox: BoundingBox) -> None:
         r = self._params.sigma_meas**2
@@ -152,8 +168,12 @@ class DetectionTracker:
         """Advance one frame; returns a smoothed bbox per input detection."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        for track in self.tracks:
-            track.predict(dt)
+        try:
+            for track in self.tracks:
+                track.predict(dt)
+        except OverflowError:
+            # nothing is known after such a gap: the detections start new tracks
+            self.tracks = []
 
         canonical = sorted(
             range(len(detections)),
@@ -226,9 +246,9 @@ class GateParams:
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.tau <= 0 or self.tau_angle <= 0:
+        if not (self.tau > 0 and self.tau_angle > 0):
             raise ValueError("covariance thresholds must be positive")
-        if self.max_age_s <= 0:
+        if not self.max_age_s > 0:
             raise ValueError(f"max_age_s must be positive, got {self.max_age_s}")
         if self.mode not in (GATE_MODE_GOAL, GATE_MODE_DIRECTION):
             raise ValueError(f"mode must be 'goal' or 'direction', got {self.mode!r}")

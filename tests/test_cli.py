@@ -166,6 +166,39 @@ def test_estimate_bad_config_value(noiseless_log, capsys):
     assert main(["estimate", "-i", noiseless_log, "--cobb-ratio", "0.9"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags", [
+    ["--strategy", "dbscan", "--eps", "nan"],
+    ["--gate", "--gate-tau", "nan"],
+    ["--gate", "--gate-mode", "direction", "--gate-tau-angle", "nan"],
+    ["--gate", "--gate-max-age", "nan"],
+    ["--track", "--track-sigma-meas", "nan"],
+    ["--track", "--track-sigma-meas", "inf"],
+    ["--track", "--track-sigma-accel", "nan"],
+    ["--track", "--track-sigma-accel", "inf"],
+    ["--track", "--track-sigma-meas", "0", "--track-sigma-accel", "0"],
+    ["--track", "--track-miss-limit", "-1"],
+])
+def test_estimate_rejects_nan_and_out_of_range_settings(flags, noiseless_log, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert main(["estimate", "-i", noiseless_log, "-o", str(out), *flags]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t", ["1e100", "1e77"])
+def test_estimate_track_restarts_after_an_overflowing_gap(t, noiseless_log, tmp_path, capsys):
+    # dt**4 overflows at 1e100 s; at 1e77 s the covariance silently reaches inf
+    first = Path(noiseless_log).read_text().splitlines()[0]
+    src = tmp_path / "gap.jsonl"
+    src.write_text(first + "\n" + json.dumps(dict(json.loads(first), t=float(t))) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["estimate", "--track", "-i", str(src), "-o", str(out)]) == EXIT_OK
+    records = read_jsonl(out)
+    # the frame after the gap starts a fresh track, exactly as the first did
+    assert records[1] == dict(records[0], t=float(t))
+    assert records[0]["reason"] is None
+
+
 def test_estimate_with_tracking_and_gate(tmp_path, capsys):
     # a single steady pose: goals agree frame to frame, so the gate commits
     intr = default_intrinsics()
@@ -260,6 +293,18 @@ def test_experiment_b_artifacts(scenario_file, tmp_path, capsys):
     csv_text = (out / "goal_cells.csv").read_text()
     assert csv_text.splitlines()[0] == \
         "range_m,bearing_deg,target_x,target_y,strategy,mean_err_cm,std_err_cm,yield"
+
+
+def test_frames_below_one_is_usage_error(scenario_file, tmp_path, capsys):
+    for command in (["experiment-a", "--scenario", scenario_file],
+                    ["experiment-b", "--scenario", scenario_file],
+                    ["bench"]):
+        for frames in ("0", "-1"):
+            outdir = tmp_path / f"{command[0]}{frames}"
+            extra = [] if command == ["bench"] else ["--outdir", str(outdir)]
+            assert main(command + ["--frames", frames, *extra]) == EXIT_USAGE
+            assert "--frames must be at least 1" in capsys.readouterr().err
+            assert not outdir.exists()
 
 
 def test_experiment_a_unknown_strategy(scenario_file, tmp_path):

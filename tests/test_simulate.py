@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ray_plane_oracle
+from oracles import experiment_a_reference, experiment_b_reference, ray_plane_oracle
 from pointray.frames import RoiPointSet, frame_to_line
 from pointray.pointing import EstimatorParams, angular_error_deg, estimate_frame
 from pointray.roi import KeypointStrategy
@@ -254,6 +254,36 @@ def test_experiment_b_serial_equals_parallel(intr):
     parallel = run_experiment_b(sc, intr, jobs=2)
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.err_cm, b.err_cm, equal_nan=True)
+
+
+def test_experiment_cells_match_reference_streams(intr):
+    # the far pose leaves NaN slots in both experiments; swapping the two
+    # experiments' streams, or the cell index order, fails this test
+    sc = Scenario(
+        positions=((2.0, 0.0), (5.5, -5.0)),
+        directions=((30.0, 0.0), (45.0, -30.0)),
+        floor_targets=((0.0, 1.0), (0.5, 2.0)),
+        frames_per_pose=3,
+        seed=5,
+        noise=NoiseModel(),
+    )
+    strategies = tuple(KeypointStrategy)
+    cells = run_experiment_a(sc, intr, strategies=strategies)
+    want = list(experiment_a_reference(sc, intr, PARAMS, strategies, 3))
+    assert len(cells) == len(want) == 2 * 2 * len(strategies)
+    assert any(np.isnan(c.err_deg).any() for c in cells)
+    for cell, (estimates, err, dpitch, dyaw) in zip(cells, want):
+        assert cell.estimates == estimates
+        np.testing.assert_array_equal(cell.err_deg, err)
+        np.testing.assert_array_equal(cell.dpitch_deg, dpitch)
+        np.testing.assert_array_equal(cell.dyaw_deg, dyaw)
+    cells = run_experiment_b(sc, intr)
+    want = list(experiment_b_reference(sc, intr, PARAMS, KeypointStrategy.MEAN_DEPTH, 3))
+    assert len(cells) == len(want) == 2 * 2
+    assert any(np.isnan(c.err_cm).any() for c in cells)
+    for cell, (goals, err) in zip(cells, want):
+        assert cell.goals == goals
+        np.testing.assert_array_equal(cell.err_cm, err)
 
 
 def test_simulate_log_timestamps_increase(intr):

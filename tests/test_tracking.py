@@ -7,6 +7,7 @@ from oracles import ScalarCvKalman, kalman_steady_state_gain
 from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
 from pointray.pointing import GoalPoint
 from pointray.tracking import (
+    INIT_SPEED_SIGMA,
     CommittedGoal,
     DetectionTracker,
     GateParams,
@@ -50,7 +51,7 @@ def test_posterior_matches_scalar_kalman_oracle():
         if oracles is None:
             oracles = [ScalarCvKalman(params.sigma_accel, params.sigma_meas,
                                       x0=float(m), p0_pos=params.sigma_meas**2,
-                                      p0_vel=params.init_speed_sigma**2)
+                                      p0_vel=INIT_SPEED_SIGMA**2)
                        for m in (mu, mv)]
             continue
         expected = [oracle.step(DT, float(m)) for oracle, m in zip(oracles, (mu, mv))]
