@@ -12,7 +12,6 @@ from .frames import (
     DetectionFrame,
     FrameFormatError,
     RoiPointSet,
-    StreamOrderError,
     frame_to_dict,
     frame_to_line,
     parse_frame,
@@ -73,7 +72,6 @@ __all__ = [
     "PointingEstimate",
     "RoiPointSet",
     "Scenario",
-    "StreamOrderError",
     "SubjectModel",
     "TrackerParams",
     "cobb_filter",

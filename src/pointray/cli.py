@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -160,27 +161,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(load, path: str, what: str):
+    """``load(path)``; an unreadable file is a data error, bad content a usage error."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
+        raise UsageError(f"bad {what} file {path}: {exc}") from exc
+
+
 def _load_intrinsics(path: str | None) -> CameraIntrinsics:
     if path is None:
         return default_intrinsics()
-    try:
-        return CameraIntrinsics.load(path)
-    except FileNotFoundError as exc:
-        raise DataError(f"cannot read intrinsics file: {exc}") from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad intrinsics file {path}: {exc}") from exc
+    return _load_config(CameraIntrinsics.load, path, "intrinsics")
 
 
 def _load_scenario(path: str | None, seed: int | None) -> Scenario:
     if path is None:
         scenario = default_scenario()
     else:
-        try:
-            scenario = Scenario.load(path)
-        except FileNotFoundError as exc:
-            raise DataError(f"cannot read scenario file: {exc}") from exc
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise UsageError(f"bad scenario file {path}: {exc}") from exc
+        scenario = _load_config(Scenario.load, path, "scenario")
     if seed is not None:
         scenario = Scenario.from_dict({**scenario.to_dict(), "seed": seed})
     return scenario
@@ -197,10 +199,25 @@ def _params_from_args(args) -> EstimatorParams:
         raise UsageError(str(exc)) from exc
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def _open_file(path: str, stack: ExitStack):
+    """``path`` opened for writing and closed with ``stack``."""
+    try:
+        return stack.enter_context(open(path, "w", encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from exc
+
+
+def _open_out(path: str, stack: ExitStack):
+    return sys.stdout if path == "-" else _open_file(path, stack)
+
+
+def _make_outdir(path: str) -> Path:
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory: {exc}") from exc
+    return outdir
 
 
 def cmd_estimate(args) -> int:
@@ -227,14 +244,6 @@ def cmd_estimate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    if args.input == "-":
-        lines = sys.stdin
-    else:
-        try:
-            lines = open(args.input, "r", encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read input: {exc}") from exc
-
     skipped = 0
 
     def on_skip(line_no: int, message: str) -> None:
@@ -243,13 +252,26 @@ def cmd_estimate(args) -> int:
         if skipped <= SKIP_WARNINGS_SHOWN:
             print(f"warning: line {line_no} skipped: {message}", file=sys.stderr)
 
-    out, close_out = _open_out(args.output)
     frames = 0
     estimates = 0
     commits = 0
-    start = time.perf_counter()
-    try:
-        for frame in read_frames(lines, errors="skip", on_skip=on_skip):
+    # Undecodable bytes are read as lone surrogates instead of ending the run;
+    # the line then meets the parser like any other.
+    with ExitStack() as stack:
+        if args.input == "-":
+            lines = sys.stdin
+            if hasattr(lines, "reconfigure"):  # a plain iterable of str is used as it is
+                lines.reconfigure(errors="surrogateescape")
+        else:
+            try:
+                lines = stack.enter_context(
+                    open(args.input, "r", encoding="utf-8", errors="surrogateescape")
+                )
+            except OSError as exc:
+                raise DataError(f"cannot read input: {exc}") from exc
+        out = _open_out(args.output, stack)
+        start = time.perf_counter()
+        for frame in read_frames(lines, on_skip=on_skip):
             if tracker is not None:
                 frame = tracker.smooth(frame)
             result = estimate_frame(frame, strategy, params, intr)
@@ -268,11 +290,6 @@ def cmd_estimate(args) -> int:
                 if commit is not None:
                     commits += 1
                     out.write(json.dumps(commit_to_dict(commit), separators=(",", ":")) + "\n")
-    finally:
-        if close_out:
-            out.close()
-        if lines is not sys.stdin:
-            lines.close()
     elapsed = time.perf_counter() - start
     fps = frames / elapsed if elapsed > 0 else float("inf")
     if skipped > SKIP_WARNINGS_SHOWN:
@@ -297,10 +314,11 @@ def cmd_simulate(args) -> int:
         raise UsageError("scenario has no floor_targets to aim at")
     if not use_targets and not scenario.directions:
         raise UsageError("scenario has no directions to point along")
-    out, close_out = _open_out(args.output)
-    truth_out = open(args.truth, "w", encoding="utf-8") if args.truth else None
     n = 0
-    try:
+    with ExitStack() as stack:
+        # the truth file first, so that a bad --truth path leaves -o untouched
+        truth_out = _open_file(args.truth, stack) if args.truth else None
+        out = _open_out(args.output, stack)
         for frame, truth in simulate_log(scenario, intr, use_targets=use_targets):
             out.write(frame_to_line(frame) + "\n")
             if truth_out is not None:
@@ -309,11 +327,6 @@ def cmd_simulate(args) -> int:
                     + "\n"
                 )
             n += 1
-    finally:
-        if close_out:
-            out.close()
-        if truth_out is not None:
-            truth_out.close()
     print(f"frames written: {n}", file=sys.stderr)
     return EXIT_OK
 
@@ -331,8 +344,7 @@ def cmd_experiment_a(args) -> int:
         raise UsageError(str(exc)) from exc
     if not strategies:
         raise UsageError("no strategies selected")
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.outdir)
     cells = run_experiment_a(
         scenario, intr, strategies=strategies, params=params,
         frames_per_cell=args.frames, jobs=args.jobs,
@@ -359,8 +371,7 @@ def cmd_experiment_b(args) -> int:
     strategy = KeypointStrategy.from_name(args.strategy)
     if not scenario.floor_targets:
         raise UsageError("scenario has no floor_targets")
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.outdir)
     cells = run_experiment_b(
         scenario, intr, strategy=strategy, params=params,
         frames_per_cell=args.frames, jobs=args.jobs,

@@ -53,10 +53,6 @@ class FrameFormatError(ValueError):
     """Malformed frame record (bad JSON, missing keys, invalid samples)."""
 
 
-class StreamOrderError(FrameFormatError):
-    """Frame timestamps must strictly increase within a stream."""
-
-
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned pixel-space box for one detected face or hand."""
@@ -217,7 +213,7 @@ def _sample_array(raw) -> np.ndarray:
         raise FrameFormatError(f"samples must be numbers: {exc}") from exc
 
 
-def _roi_from_dict(obj: dict, label: str, drop_bad_samples: bool) -> RoiPointSet:
+def _roi_from_dict(obj: dict, label: str) -> RoiPointSet:
     try:
         bbox_vals = obj["bbox"]
         conf = obj.get("conf", 1.0)
@@ -228,8 +224,7 @@ def _roi_from_dict(obj: dict, label: str, drop_bad_samples: bool) -> RoiPointSet
         raise FrameFormatError(f"bbox must be [u0, v0, u1, v1], got {bbox_vals!r}")
     coords = [_number(c, "bbox coordinate") for c in bbox_vals]
     bbox = BoundingBox(*coords, label=label, confidence=_number(conf, "conf"))
-    build = RoiPointSet._valid_part if drop_bad_samples else RoiPointSet
-    return build(_sample_array(raw), bbox)
+    return RoiPointSet._valid_part(_sample_array(raw), bbox)
 
 
 def _nesting_depth(line: str) -> int:
@@ -265,11 +260,11 @@ def _decode(line: str):
     return json.loads(line)
 
 
-def parse_frame(line: str, *, drop_bad_samples: bool = False) -> DetectionFrame:
+def parse_frame(line: str) -> DetectionFrame:
     """Parse one JSON log line into a DetectionFrame.
 
-    With ``drop_bad_samples`` the parser silently discards samples with
-    non-positive depth or outside their bbox instead of rejecting the frame.
+    Samples with non-positive depth or outside their bbox are dropped; the
+    rest of the frame is kept.
     """
     try:
         obj = _decode(line)
@@ -279,11 +274,11 @@ def parse_frame(line: str, *, drop_bad_samples: bool = False) -> DetectionFrame:
         raise FrameFormatError("frame record must be an object with a 't' field")
     t = _number(obj["t"], "timestamp")
     face_obj = obj.get("face")
-    face = None if face_obj is None else _roi_from_dict(face_obj, FACE, drop_bad_samples)
+    face = None if face_obj is None else _roi_from_dict(face_obj, FACE)
     hands_obj = obj.get("hands", [])
     if not isinstance(hands_obj, list):
         raise FrameFormatError("'hands' must be an array")
-    hands = tuple(_roi_from_dict(h, HAND, drop_bad_samples) for h in hands_obj)
+    hands = tuple(_roi_from_dict(h, HAND) for h in hands_obj)
     return DetectionFrame(t, face, hands)
 
 
@@ -309,33 +304,24 @@ def frame_to_line(frame: DetectionFrame) -> str:
 
 
 def read_frames(
-    lines: Iterable[str],
-    *,
-    errors: str = "raise",
-    on_skip: Callable[[int, str], None] | None = None,
+    lines: Iterable[str], on_skip: Callable[[int, str], None] | None = None
 ) -> Iterator[DetectionFrame]:
-    """Iterate frames from JSON log lines, enforcing strictly increasing time.
+    """Iterate frames from JSON log lines, skipping the lines that fail.
 
-    ``errors='raise'`` aborts on the first malformed line or timestamp
-    regression; ``errors='skip'`` drops the offending line (reporting it via
-    ``on_skip(line_number, message)``) and continues.
+    A malformed line, or one whose timestamp does not increase past the last
+    frame's, is dropped and reported via ``on_skip(line_number, message)``.
     """
-    if errors not in ("raise", "skip"):
-        raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
-    lenient = errors == "skip"
     last_t = None
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            frame = parse_frame(line, drop_bad_samples=lenient)
+            frame = parse_frame(line)
             if last_t is not None and frame.timestamp <= last_t:
-                raise StreamOrderError(
+                raise FrameFormatError(
                     f"timestamp {frame.timestamp} does not increase past {last_t}"
                 )
         except FrameFormatError as exc:
-            if not lenient:
-                raise type(exc)(f"line {line_no}: {exc}") from exc
             if on_skip is not None:
                 on_skip(line_no, str(exc))
             continue

@@ -16,41 +16,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .frames import BoundingBox, DetectionFrame, RoiPointSet
-from .geometry import CameraIntrinsics, GeometryError
+from .frames import DetectionFrame, RoiPointSet
+from .geometry import CameraIntrinsics
 from .roi import (
     DEFAULT_COBB_RATIO,
     DEFAULT_DBSCAN_EPS,
     DEFAULT_DBSCAN_MIN_PTS,
-    EmptyRoiError,
+    REASON_NO_FACE,
+    REASON_NO_GROUND_HIT,
+    REASON_NO_HAND,
     KeypointStrategy,
-    NoTargetClusterError,
+    NoEstimate,
     cobb_filter,
     estimate_keypoint,
 )
 
-# Reason codes attached to frames that yield no estimate or no goal.
-REASON_NO_FACE = "no_face"
-REASON_NO_HAND = "no_hand"
-REASON_EMPTY_ROI = "empty_roi"
-REASON_NO_CLUSTER = "no_cluster"
-REASON_NO_GROUND_HIT = "no_ground_hit"
-
 # Rays this close to horizontal return no intersection instead of a goal
 # kilometers away.
 MIN_DESCENT = 1e-6
-
-
-class NoHandError(Exception):
-    """Frame contains no hand detections."""
-
-
-class NoGroundIntersectionError(Exception):
-    """Pointing ray is level or ascending; it never meets the ground plane."""
-
-
-class DegenerateDirectionError(GeometryError):
-    """Face and hand keypoints coincide; the pointing direction is undefined."""
 
 
 @dataclass(frozen=True)
@@ -99,14 +82,15 @@ class FrameResult:
     reason: str | None
 
 
-def select_pointing_hand(hands: Sequence[BoundingBox]) -> BoundingBox:
-    """Pick the topmost hand in the image (smallest v_min).
+def select_pointing_hand(hands: Sequence[RoiPointSet]) -> RoiPointSet:
+    """Pick the hand whose bbox is topmost in the image (smallest v_min).
 
     Ties fall back to higher confidence, then to the leftmost box.
     """
     if not hands:
-        raise NoHandError("no hand detections in frame")
-    return min(hands, key=lambda b: (b.v_min, -b.confidence, b.u_min))
+        raise NoEstimate(REASON_NO_HAND, "no hand detections in frame")
+    return min(hands, key=lambda h: (h.source_bbox.v_min, -h.source_bbox.confidence,
+                                     h.source_bbox.u_min))
 
 
 def ray_angles(ray) -> tuple[float, float]:
@@ -114,11 +98,12 @@ def ray_angles(ray) -> tuple[float, float]:
 
     Yaw 0 is the world forward axis (+Y), positive clockwise from above;
     pitch is positive downward. A straight-down ray has yaw 0 by convention.
+    A zero-length ray (coincident keypoints) meets nothing: ``no_ground_hit``.
     """
     dx, dy, dz = (float(c) for c in ray)
     horizontal = math.hypot(dx, dy)
     if horizontal == 0.0 and dz == 0.0:
-        raise DegenerateDirectionError("zero-length direction vector")
+        raise NoEstimate(REASON_NO_GROUND_HIT, "zero-length direction vector")
     yaw = 0.0 if horizontal == 0.0 else math.degrees(math.atan2(dx, dy))
     if yaw == -180.0:
         yaw = 180.0
@@ -132,18 +117,15 @@ def pointing_angles(direction) -> tuple[float, float]:
     return ray_angles((-dx, -dy, -dz))
 
 
-def ground_intersection_world(face_kp: np.ndarray, hand_kp: np.ndarray) -> GoalPoint:
+def ground_intersection_world(face_kp: np.ndarray, hand_kp: np.ndarray) -> GoalPoint | None:
     """Intersect the eye-through-hand ray with the ground plane Z = 0.
 
     Requires the face to sit above the hand in world height so the ray
-    descends; level or ascending rays raise
-    :class:`NoGroundIntersectionError`.
+    descends; a level or ascending ray returns ``None``.
     """
     p = face_kp - hand_kp
     if p[2] < MIN_DESCENT:
-        raise NoGroundIntersectionError(
-            f"pointing ray does not descend (face-hand height difference {p[2]:.4g} m)"
-        )
+        return None
     t = face_kp[2] / p[2]
     return GoalPoint(face_kp[0] - t * p[0], face_kp[1] - t * p[1])
 
@@ -172,35 +154,22 @@ def estimate_frame(
 
     Every failure mode is reported through ``FrameResult.reason``:
     ``no_face``, ``no_hand``, ``empty_roi``, ``no_cluster`` (estimate absent)
-    or ``no_ground_hit`` (estimate present, goal absent).
+    or ``no_ground_hit`` (goal absent; the estimate too if the keypoints coincide).
     """
     t = frame.timestamp
     if frame.face is None:
         return FrameResult(t, None, None, REASON_NO_FACE)
-    if not frame.hands:
-        return FrameResult(t, None, None, REASON_NO_HAND)
-    hand_bbox = select_pointing_hand([h.source_bbox for h in frame.hands])
-    hand = next(h for h in frame.hands if h.source_bbox is hand_bbox)
     try:
+        hand = select_pointing_hand(frame.hands)
         face_kp = _roi_keypoint(frame.face, strategy, params, intr)
         hand_kp = _roi_keypoint(hand, strategy, params, intr)
-    except EmptyRoiError:
-        return FrameResult(t, None, None, REASON_EMPTY_ROI)
-    except NoTargetClusterError:
-        return FrameResult(t, None, None, REASON_NO_CLUSTER)
-
-    direction = tuple(face_kp - hand_kp)
-    try:
+        direction = tuple(face_kp - hand_kp)
         pitch, yaw = pointing_angles(direction)
-    except DegenerateDirectionError:
-        # Coincident keypoints: no usable ray, hence nothing to intersect.
-        return FrameResult(t, None, None, REASON_NO_GROUND_HIT)
+    except NoEstimate as exc:
+        return FrameResult(t, None, None, exc.reason)
     estimate = PointingEstimate(face_kp, hand_kp, direction, pitch, yaw)
-    try:
-        goal = ground_intersection_world(face_kp, hand_kp)
-    except NoGroundIntersectionError:
-        return FrameResult(t, estimate, None, REASON_NO_GROUND_HIT)
-    return FrameResult(t, estimate, goal, None)
+    goal = ground_intersection_world(face_kp, hand_kp)
+    return FrameResult(t, estimate, goal, REASON_NO_GROUND_HIT if goal is None else None)
 
 
 def result_to_dict(result: FrameResult) -> dict:
@@ -230,7 +199,7 @@ def angular_error_deg(direction, true_ray) -> float:
     est = -np.asarray(direction, dtype=float)
     ref = np.asarray(true_ray, dtype=float)
     if not (np.linalg.norm(est) and np.linalg.norm(ref)):
-        raise DegenerateDirectionError("zero-length ray in angular error")
+        raise ValueError("zero-length ray in angular error")
     # atan2 of cross/dot keeps full precision near zero angle, unlike acos
     cross = float(np.linalg.norm(np.cross(est, ref)))
     dot = float(np.dot(est, ref))

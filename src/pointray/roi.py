@@ -25,12 +25,20 @@ DEFAULT_DBSCAN_EPS = 0.15  # meters; hands span well under 15 cm in depth
 DEFAULT_DBSCAN_MIN_PTS = 4
 
 
-class EmptyRoiError(Exception):
-    """No usable samples remain in the ROI; the frame is skipped for it."""
+# Reason codes attached to frames that yield no estimate or no goal.
+REASON_NO_FACE = "no_face"
+REASON_NO_HAND = "no_hand"
+REASON_EMPTY_ROI = "empty_roi"
+REASON_NO_CLUSTER = "no_cluster"
+REASON_NO_GROUND_HIT = "no_ground_hit"
 
 
-class NoTargetClusterError(Exception):
-    """Depth clustering rejected every sample as noise."""
+class NoEstimate(Exception):
+    """A frame yields no estimate; ``reason`` is one of the ``REASON_*`` codes."""
+
+    def __init__(self, reason: str, message: str) -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 class KeypointStrategy(Enum):
@@ -65,7 +73,7 @@ class DepthCluster:
 def cobb_filter(roi: RoiPointSet, ratio: float = DEFAULT_COBB_RATIO) -> RoiPointSet:
     """Keep samples within ``ratio * min(w, h)`` pixels of the bbox center.
 
-    Raises :class:`EmptyRoiError` when nothing survives.
+    Raises :class:`NoEstimate` (``empty_roi``) when nothing survives.
     """
     if not 0.0 < ratio <= 0.5:
         raise ValueError(f"ratio must lie in (0, 0.5], got {ratio}")
@@ -75,8 +83,8 @@ def cobb_filter(roi: RoiPointSet, ratio: float = DEFAULT_COBB_RATIO) -> RoiPoint
     d2 = (roi.u - cu) ** 2 + (roi.v - cv) ** 2
     mask = d2 <= radius * radius
     if not mask.any():
-        raise EmptyRoiError(
-            f"no {roi.label} samples within {radius:.1f}px of the bbox center"
+        raise NoEstimate(
+            REASON_EMPTY_ROI, f"no {roi.label} samples within {radius:.1f}px of the bbox center"
         )
     return RoiPointSet._unchecked(roi.samples[mask], bbox)
 
@@ -160,7 +168,7 @@ def dbscan_depth(
 def select_target_cluster(clusters: list[DepthCluster]) -> DepthCluster:
     """Largest cluster wins; equal sizes fall back to the nearer one."""
     if not clusters:
-        raise NoTargetClusterError("no depth clusters to select from")
+        raise NoEstimate(REASON_NO_CLUSTER, "no depth clusters to select from")
     return min(clusters, key=lambda c: (-c.size, c.mean_depth))
 
 
@@ -180,7 +188,7 @@ def estimate_keypoint(
     the clustering strategy consumes the raw ROI and picks its own inliers.
     """
     if len(roi) == 0:
-        raise EmptyRoiError(f"{roi.label} ROI holds no samples")
+        raise NoEstimate(REASON_EMPTY_ROI, f"{roi.label} ROI holds no samples")
     if strategy is KeypointStrategy.DBSCAN_CLUSTER:
         clusters, _ = dbscan_depth(roi.z, eps, min_pts)
         target = select_target_cluster(clusters)

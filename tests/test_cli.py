@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,27 @@ def test_estimate_stdin_stdout(noiseless_log, capsys, monkeypatch):
     assert len(out.splitlines()) == len(text.splitlines())
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_estimate_skips_an_undecodable_line(source, noiseless_log, tmp_path, capsys, monkeypatch):
+    lines = Path(noiseless_log).read_bytes().splitlines(keepends=True)[:5]
+    lines[2] = b"\xff\xfe" + lines[2]
+    data = b"".join(lines)
+    out = tmp_path / "out.jsonl"
+    argv = ["estimate", "-o", str(out)]
+    if source == "file":
+        src = tmp_path / "bad.jsonl"
+        src.write_bytes(data)
+        argv += ["-i", str(src)]
+    else:  # a stdin that raises on bad bytes, as under a UTF-8 locale
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+    assert main(argv) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "warning: line 3 skipped: invalid JSON" in err
+    assert "skipped: 1" in err
+    assert len(read_jsonl(out)) == 4
+
+
 def test_estimate_missing_input_is_data_error(tmp_path, capsys):
     assert main(["estimate", "-i", str(tmp_path / "nope.jsonl")]) == EXIT_DATA
 
@@ -305,6 +327,40 @@ def test_frames_below_one_is_usage_error(scenario_file, tmp_path, capsys):
             assert main(command + ["--frames", frames, *extra]) == EXIT_USAGE
             assert "--frames must be at least 1" in capsys.readouterr().err
             assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["estimate", "-i", "{log}", "-o", "{tmp}/missing/x.jsonl"], EXIT_USAGE),
+    (["simulate", "--scenario", "{scenario}", "-o", "{out}", "--truth", "{tmp}/missing/t.jsonl"],
+     EXIT_USAGE),
+    (["estimate", "-i", "{log}", "--intrinsics", "{tmp}"], EXIT_DATA),
+    (["simulate", "--scenario", "{tmp}", "-o", "{out}"], EXIT_DATA),
+    (["estimate", "-i", "{log}", "--intrinsics", "{tmp}/list.json"], EXIT_USAGE),
+    (["estimate", "-i", "{log}", "--intrinsics", "{tmp}/null_fx.json"], EXIT_USAGE),
+    (["estimate", "-i", "{log}", "--intrinsics", "{tmp}/inf_width.json"], EXIT_USAGE),
+    (["estimate", "-i", "{log}", "--intrinsics", "{tmp}/deep.json"], EXIT_USAGE),
+    (["simulate", "--scenario", "{tmp}/list.json", "-o", "{out}"], EXIT_USAGE),
+    (["experiment-a", "--scenario", "{scenario}", "--frames", "1", "--outdir", "{log}"],
+     EXIT_USAGE),
+    (["experiment-b", "--scenario", "{scenario}", "--frames", "1", "--outdir", "{log}"],
+     EXIT_USAGE),
+], ids=["estimate-output", "simulate-truth", "intrinsics-dir", "scenario-dir", "intrinsics-list",
+        "intrinsics-null", "intrinsics-inf", "intrinsics-deep", "scenario-list",
+        "experiment-a-outdir", "experiment-b-outdir"])
+def test_bad_paths_and_config_files_end_in_one_error_line(
+    argv, code, scenario_file, noiseless_log, tmp_path, capsys
+):
+    intrinsics = default_intrinsics().to_dict()
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "null_fx.json").write_text(json.dumps(dict(intrinsics, fx=None)))
+    (tmp_path / "inf_width.json").write_text(json.dumps(dict(intrinsics, width=math.inf)))
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out.jsonl"
+    paths = {"tmp": tmp_path, "log": noiseless_log, "scenario": scenario_file, "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 def test_experiment_a_unknown_strategy(scenario_file, tmp_path):

@@ -14,13 +14,12 @@ from pointray.frames import (
     DetectionFrame,
     FrameFormatError,
     RoiPointSet,
-    StreamOrderError,
     frame_to_line,
     parse_frame,
     read_frames,
 )
 from pointray.geometry import default_intrinsics
-from pointray.roi import EmptyRoiError, cobb_filter
+from pointray.roi import NoEstimate, cobb_filter
 from pointray.simulate import default_scenario, synthesize_frame
 
 
@@ -58,32 +57,22 @@ def test_parse_rejects_bad_json():
         parse_frame('{"face": null, "hands": []}')  # no timestamp
 
 
-def test_parse_rejects_invalid_samples():
-    rec = {"t": 0.0, "face": None,
-           "hands": [{"bbox": [0, 0, 10, 10], "conf": 1.0, "samples": [[5, 5, 0.0]]}]}
-    with pytest.raises(FrameFormatError):
-        parse_frame(json.dumps(rec))
-    rec["hands"][0]["samples"] = [[50, 5, 1.0]]  # outside bbox
-    with pytest.raises(FrameFormatError):
-        parse_frame(json.dumps(rec))
-
-
-def test_parse_lenient_drops_bad_samples():
+def test_parse_drops_bad_samples():
     rec = {"t": 0.0, "face": None,
            "hands": [{"bbox": [0, 0, 10, 10], "conf": 1.0,
-                      "samples": [[5, 5, -1.0], [50, 5, 1.0], [5, 5, 1.5]]}]}
-    frame = parse_frame(json.dumps(rec), drop_bad_samples=True)
+                      "samples": [[5, 5, -1.0], [5, 5, 0.0], [50, 5, 1.0], [5, 5, 1.5]]}]}
+    frame = parse_frame(json.dumps(rec))
     assert len(frame.hands[0]) == 1
     assert frame.hands[0].z[0] == 1.5
 
 
 def test_stream_rejects_nonincreasing_timestamps():
-    lines = [frame_to_line(make_frame(0.0)), frame_to_line(make_frame(0.0))]
-    with pytest.raises(FrameFormatError):
-        list(read_frames(lines))
-    lines = [frame_to_line(make_frame(1.0)), frame_to_line(make_frame(0.5))]
-    with pytest.raises(StreamOrderError):
-        list(read_frames(iter(lines), errors="raise"))
+    for t0, t1 in ((0.0, 0.0), (1.0, 0.5)):
+        skipped = []
+        lines = [frame_to_line(make_frame(t0)), frame_to_line(make_frame(t1))]
+        frames = list(read_frames(iter(lines), on_skip=lambda n, m: skipped.append((n, m))))
+        assert [f.timestamp for f in frames] == [t0]
+        assert skipped == [(2, f"timestamp {t1} does not increase past {t0}")]
 
 
 def test_stream_skip_mode_counts_warnings():
@@ -94,8 +83,7 @@ def test_stream_skip_mode_counts_warnings():
         frame_to_line(make_frame(0.0)),  # timestamp regression
         frame_to_line(make_frame(1.0)),
     ]
-    frames = list(read_frames(lines, errors="skip",
-                              on_skip=lambda n, m: skipped.append(n)))
+    frames = list(read_frames(lines, on_skip=lambda n, m: skipped.append(n)))
     assert len(frames) == 2
     assert skipped == [2, 3]
 
@@ -174,7 +162,7 @@ def test_parse_frame_round_trips_frame_to_line(t, face, hands):
 # ---------------------------------------------------------------------------
 # Sets built without the constructor's check
 # ---------------------------------------------------------------------------
-# Skip-mode parsing, with_bbox, cobb_filter and the simulator mask samples
+# Parsing, with_bbox, cobb_filter and the simulator mask samples
 # themselves and skip the check; whatever they build must pass it.
 
 def assert_passes_check(roi):
@@ -200,7 +188,7 @@ def _raw_roi(draw):
 @given(face=st.none() | _raw_roi(), hands=st.lists(_raw_roi(), max_size=3))
 def test_skip_mode_parse_builds_sets_that_pass_the_check(face, hands):
     line = json.dumps({"t": 0, "face": face, "hands": hands})
-    frame = parse_frame(line, drop_bad_samples=True)
+    frame = parse_frame(line)
     for roi in (frame.face, *frame.hands):
         if roi is not None:
             assert_passes_check(roi)
@@ -222,7 +210,7 @@ def test_with_bbox_builds_sets_that_pass_the_check(roi, box):
 def test_cobb_filter_builds_sets_that_pass_the_check(roi, ratio):
     try:
         kept = cobb_filter(roi, ratio)
-    except EmptyRoiError:
+    except NoEstimate:
         return
     assert kept.source_bbox is roi.source_bbox
     assert_passes_check(kept)
@@ -281,7 +269,7 @@ _line = (
 @given(lines=st.lists(_line, max_size=6))
 def test_read_frames_skip_mode_never_raises(lines):
     skipped = []
-    frames = list(read_frames(lines, errors="skip", on_skip=lambda n, m: skipped.append(n)))
+    frames = list(read_frames(lines, on_skip=lambda n, m: skipped.append(n)))
     assert all(isinstance(f, DetectionFrame) for f in frames)
     assert len(frames) + len(skipped) == sum(1 for line in lines if line.strip())
 
@@ -317,9 +305,8 @@ def decoder(request, monkeypatch):
     '{"t":0,"face":{"bbox":[0,0,10,10],"samples":[[null,5,1],[5,5,1]]}}',
 ])
 def test_parse_rejects_strings_booleans_and_overflowing_numbers(line, decoder):
-    for drop_bad_samples in (False, True):
-        with pytest.raises(FrameFormatError):
-            parse_frame(line, drop_bad_samples=drop_bad_samples)
+    with pytest.raises(FrameFormatError):
+        parse_frame(line)
 
 
 @pytest.mark.parametrize("big", ["1e20", "100000000000000000000"])
@@ -425,9 +412,9 @@ def _frame_text(draw):
     return line[:-1] if draw(st.integers(0, 9)) == 0 else line
 
 
-def _outcome(line, drop_bad_samples):
+def _outcome(line):
     try:
-        frame = parse_frame(line, drop_bad_samples=drop_bad_samples)
+        frame = parse_frame(line)
     except FrameFormatError:
         return None
     rois = [r for r in (frame.face, *frame.hands) if r is not None]
@@ -442,8 +429,8 @@ def _outcome(line, drop_bad_samples):
 @given(lines=st.tuples(_frame_text(), _line))
 def test_orjson_and_stdlib_decoding_give_the_same_outcome(lines):
     pytest.importorskip("orjson")
-    fast = [_outcome(line, drop) for line in lines for drop in (False, True)]
+    fast = [_outcome(line) for line in lines]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frames, "orjson", None)
-        slow = [_outcome(line, drop) for line in lines for drop in (False, True)]
+        slow = [_outcome(line) for line in lines]
     assert fast == slow

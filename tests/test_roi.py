@@ -8,9 +8,8 @@ from pointray.frames import BoundingBox, RoiPointSet
 from pointray.geometry import deproject
 from pointray.roi import (
     DepthCluster,
-    EmptyRoiError,
     KeypointStrategy,
-    NoTargetClusterError,
+    NoEstimate,
     cobb_filter,
     dbscan_depth,
     estimate_keypoint,
@@ -45,8 +44,9 @@ def test_cobb_rejects_corner_sample():
 
 def test_cobb_empty_survival_raises():
     roi = roi_from([[0.0, 0.0, 2.0], [100.0, 60.0, 3.0]])
-    with pytest.raises(EmptyRoiError):
+    with pytest.raises(NoEstimate) as info:
         cobb_filter(roi)
+    assert info.value.reason == "empty_roi"
 
 
 def test_cobb_subset_and_permutation_invariance():
@@ -61,13 +61,13 @@ def test_cobb_subset_and_permutation_invariance():
         roi = roi_from(samples, bbox=(0, 0, w, h))
         try:
             kept = cobb_filter(roi)
-        except EmptyRoiError:
+        except NoEstimate:
             kept = None
         perm = rng.permutation(n)
         roi_p = roi_from(samples[perm], bbox=(0, 0, w, h))
         try:
             kept_p = cobb_filter(roi_p)
-        except EmptyRoiError:
+        except NoEstimate:
             kept_p = None
         if kept is None:
             assert kept_p is None
@@ -246,8 +246,9 @@ def test_select_tie_breaks_to_nearer():
 
 
 def test_select_empty_raises():
-    with pytest.raises(NoTargetClusterError):
+    with pytest.raises(NoEstimate) as info:
         select_target_cluster([])
+    assert info.value.reason == "no_cluster"
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +321,18 @@ def test_keypoint_dbscan_uses_largest_cluster(intr):
 
 def test_keypoint_dbscan_all_noise_raises(intr):
     roi = roi_from([[10, 10, 1.0], [50, 30, 2.0], [90, 50, 3.0]])
-    with pytest.raises(NoTargetClusterError):
+    with pytest.raises(NoEstimate) as info:
         estimate_keypoint(roi, KeypointStrategy.DBSCAN_CLUSTER, intr,
                           eps=0.1, min_pts=2)
+    assert info.value.reason == "no_cluster"
 
 
 def test_keypoint_empty_roi_raises(intr):
     roi = RoiPointSet(np.empty((0, 3)), BoundingBox(0, 0, 10, 10, label="hand"))
     for strategy in KeypointStrategy:
-        with pytest.raises(EmptyRoiError):
+        with pytest.raises(NoEstimate) as info:
             estimate_keypoint(roi, strategy, intr)
+        assert info.value.reason == "empty_roi"
 
 
 def test_strategy_from_name():
