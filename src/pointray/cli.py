@@ -8,13 +8,16 @@ Subcommands:
 * ``experiment-b`` -- floor-goal accuracy sweep (CSV + text table)
 * ``bench``        -- per-frame latency of the geometry pipeline
 
-Exit codes: 0 success, 1 usage/config error, 2 input-data error.
+Exit codes: 0 success, 1 usage/config error, 2 input-data error, 141 the
+reader of stdout closed it before the output ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import time
 from contextlib import ExitStack
@@ -65,6 +68,7 @@ from .tracking import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer the signal ended
 
 # estimate prints a warning for the first this many skipped lines, then
 # one line with the count of the rest
@@ -199,10 +203,10 @@ def _params_from_args(args) -> EstimatorParams:
         raise UsageError(str(exc)) from exc
 
 
-def _open_file(path: str, stack: ExitStack):
-    """``path`` opened for writing and closed with ``stack``."""
+def _open_file(path: str, stack: ExitStack, mode: str = "w"):
+    """``path`` opened for writing (``mode`` "w" or "a") and closed with ``stack``."""
     try:
-        return stack.enter_context(open(path, "w", encoding="utf-8"))
+        return stack.enter_context(open(path, mode, encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}") from exc
 
@@ -316,9 +320,12 @@ def cmd_simulate(args) -> int:
         raise UsageError("scenario has no directions to point along")
     n = 0
     with ExitStack() as stack:
-        # the truth file first, so that a bad --truth path leaves -o untouched
-        truth_out = _open_file(args.truth, stack) if args.truth else None
+        # --truth opens without truncation and is emptied once -o has opened,
+        # so a bad path on either side leaves the other file's bytes as they were
+        truth_out = _open_file(args.truth, stack, "a") if args.truth else None
         out = _open_out(args.output, stack)
+        if truth_out is not None and stat.S_ISREG(os.fstat(truth_out.fileno()).st_mode):
+            truth_out.truncate(0)  # pipes and devices have nothing to truncate
         for frame, truth in simulate_log(scenario, intr, use_targets=use_targets):
             out.write(frame_to_line(frame) + "\n")
             if truth_out is not None:
@@ -421,23 +428,30 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "estimate": cmd_estimate,
+    "simulate": cmd_simulate,
+    "experiment-a": cmd_experiment_a,
+    "experiment-b": cmd_experiment_b,
+    "bench": cmd_bench,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "frames", None) is not None and args.frames < 1:
             raise UsageError(f"--frames must be at least 1, got {args.frames}")
-        if args.command == "estimate":
-            return cmd_estimate(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "experiment-a":
-            return cmd_experiment_a(args)
-        if args.command == "experiment-b":
-            return cmd_experiment_b(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed reader shows here at the latest
+        return code
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE advises: point stdout at devnull
+        # so that the interpreter's own flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,6 +16,7 @@ Lines are decoded with ``orjson`` when it is installed and with the stdlib
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -265,7 +266,25 @@ def parse_frame(line: str) -> DetectionFrame:
 
     Samples with non-positive depth or outside their bbox are dropped; the
     rest of the frame is kept.
+
+    Decoding pauses the cyclic garbage collector and restores the caller's
+    setting on every way out (https://docs.python.org/3/library/gc.html).
+    A dense line decodes to thousands of lists; with the collector running,
+    collections inside the decoder would promote them to older generations,
+    whose full collections then land on a few frames as a latency tail. The
+    decoded value holds no cycles and is freed by reference counting before
+    the collector resumes.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(line)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(line: str) -> DetectionFrame:
     try:
         obj = _decode(line)
     except (ValueError, RecursionError) as exc:  # includes json.JSONDecodeError

@@ -12,6 +12,7 @@ plus depth straight to a world point and :func:`project` is its inverse.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -49,14 +50,14 @@ class CameraIntrinsics:
     hfov_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.fx <= 0 or self.fy <= 0:
-            raise GeometryError(f"focal lengths must be positive (fx={self.fx}, fy={self.fy})")
+        for name in ("fx", "fy", "camera_height"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise GeometryError(f"{name} must be finite and positive, got {value}")
         if not (0 <= self.cx < self.width):
             raise GeometryError(f"cx={self.cx} outside [0, {self.width})")
         if not (0 <= self.cy < self.height):
             raise GeometryError(f"cy={self.cy} outside [0, {self.height})")
-        if self.camera_height <= 0:
-            raise GeometryError(f"camera_height must be positive, got {self.camera_height}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "CameraIntrinsics":

@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from pointray.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+import pointray
+from pointray.cli import EXIT_BROKEN_PIPE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from pointray.frames import frame_to_line
 from pointray.simulate import NoiseModel, Scenario, SubjectModel, simulate_log
 from pointray.geometry import default_intrinsics
@@ -250,6 +254,7 @@ def test_estimate_with_tracking_and_gate(tmp_path, capsys):
 def test_simulate_writes_frames_and_truth(scenario_file, tmp_path, capsys):
     frames_path = tmp_path / "frames.jsonl"
     truth_path = tmp_path / "truth.jsonl"
+    truth_path.write_text("stale\n" * 100)  # replaced, not appended to
     code = main(["simulate", "--scenario", scenario_file,
                  "-o", str(frames_path), "--truth", str(truth_path)])
     assert code == EXIT_OK
@@ -361,6 +366,54 @@ def test_bad_paths_and_config_files_end_in_one_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["fx", "fy", "camera_height"])
+def test_non_finite_intrinsics_end_in_one_error_line(field, value, noiseless_log, tmp_path, capsys):
+    path = tmp_path / "intrinsics.json"
+    path.write_text(json.dumps(dict(default_intrinsics().to_dict(), **{field: value})))
+    out = tmp_path / "out.jsonl"
+    argv = ["estimate", "-i", noiseless_log, "-o", str(out), "--intrinsics", str(path)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["output", "truth"])
+def test_simulate_bad_path_leaves_the_other_file_as_it_was(bad, scenario_file, tmp_path, capsys):
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("old line\n")
+    missing = str(tmp_path / "missing" / "x.jsonl")
+    out, truth = (missing, str(kept)) if bad == "output" else (str(kept), missing)
+    assert main(["simulate", "--scenario", scenario_file, "-o", out, "--truth", truth]) == EXIT_USAGE
+    assert kept.read_text() == "old line\n"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output")
+
+
+def test_closed_stdout_ends_estimate_without_a_traceback(tmp_path):
+    # ~1,000 records, far more than a pipe buffers, so estimate is still
+    # writing when its reader goes away
+    log = tmp_path / "frames.jsonl"
+    with open(log, "w") as f:
+        for frame, _ in simulate_log(small_scenario(NoiseModel.noiseless(), frames=250),
+                                     default_intrinsics()):
+            f.write(frame_to_line(frame) + "\n")
+    src = str(Path(pointray.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    with open(tmp_path / "err.txt", "w") as err, subprocess.Popen(
+        [sys.executable, "-m", "pointray", "estimate", "-i", str(log)],
+        stdout=subprocess.PIPE, stderr=err, env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert json.loads(first)["reason"] is None
+    assert (tmp_path / "err.txt").read_text() == ""
+    assert code == EXIT_BROKEN_PIPE
 
 
 def test_experiment_a_unknown_strategy(scenario_file, tmp_path):

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -20,7 +22,7 @@ from pointray.frames import (
 )
 from pointray.geometry import default_intrinsics
 from pointray.roi import NoEstimate, cobb_filter
-from pointray.simulate import default_scenario, synthesize_frame
+from pointray.simulate import NoiseModel, SubjectModel, default_scenario, synthesize_frame
 
 
 def make_roi(label="hand", bbox=(100, 100, 200, 180), samples=((150, 140, 2.0),)):
@@ -434,3 +436,55 @@ def test_orjson_and_stdlib_decoding_give_the_same_outcome(lines):
         mp.setattr(frames, "orjson", None)
         slow = [_outcome(line) for line in lines]
     assert fast == slow
+
+
+# ---------------------------------------------------------------------------
+# The cyclic GC is paused while a line is decoded
+# ---------------------------------------------------------------------------
+
+def _dense_lines(n):
+    """``n`` criterion-9 frame lines: two ROIs of ~2,500 samples each."""
+    noise = NoiseModel(n0=2500 * 2.0 ** 2, n_min=1, beta=0.0, p_drop_max=0.0,
+                       sigma0=0.004, bbox_jitter_px=1.0)
+    rng = np.random.default_rng(7)
+    return [
+        frame_to_line(synthesize_frame(SubjectModel(), (2.0, 0.0), direction=(35.0, 10.0),
+                                       noise=noise, intr=default_intrinsics(), rng=rng,
+                                       timestamp=i / 30.0)[0])
+        for i in range(n)
+    ]
+
+
+def test_parsing_dense_lines_runs_no_collection(decoder):
+    lines = _dense_lines(5)
+    collections = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()  # start from empty generation counts
+    gc.callbacks.append(on_gc)
+    try:
+        for line in lines:
+            assert len(parse_frame(line).face) > 2000
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert collections == []
+
+
+@pytest.mark.parametrize("line, error", [
+    ('{"t":0,%s}' % _FACE, None),
+    ("{not json", FrameFormatError),
+    ('{"t":0,"face":{"bbox":[0,0,10,10],"samples":[["5",5,1]]}}', FrameFormatError),
+], ids=["good", "bad-json", "string-sample"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_parse_restores_the_callers_gc_state(line, error, enabled, decoder):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            parse_frame(line)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
