@@ -15,7 +15,6 @@ reader of stdout closed it before the output ended.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .frames import FRAME_RATE_HZ, frame_to_line, read_frames
+from .frames import FRAME_RATE_HZ, dumps_line, frame_to_line, read_frames
 from .geometry import CameraIntrinsics, default_intrinsics
 from .pointing import EstimatorParams, estimate_frame, result_to_line
 from .roi import (
@@ -133,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--aim", choices=["directions", "targets"], default="directions",
                        help="point along scenario directions or at floor targets")
     p_sim.add_argument("--output", "-o", default="-", help="frame log path or - for stdout")
-    p_sim.add_argument("--truth", default=None, help="optional ground-truth JSONL path")
+    p_sim.add_argument("--truth", default=None,
+                       help="optional ground-truth JSONL path, or - for stdout when -o is a path")
     p_sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_sim.add_argument("--intrinsics", default=None)
 
@@ -211,8 +211,21 @@ def _open_file(path: str, stack: ExitStack, mode: str = "w"):
         raise UsageError(f"cannot write output: {exc}") from exc
 
 
-def _open_out(path: str, stack: ExitStack):
-    return sys.stdout if path == "-" else _open_file(path, stack)
+def _open_out(path: str, stack: ExitStack, mode: str = "w"):
+    return sys.stdout if path == "-" else _open_file(path, stack, mode)
+
+
+def _refuse_same_file(path: str, held) -> None:
+    """Refuse to write ``path`` when it is the regular file the stream ``held``
+    has open: opening it for writing would empty that file before it is used."""
+    if path == "-":
+        return
+    try:
+        a, b = os.fstat(held.fileno()), os.stat(path)
+    except (AttributeError, OSError, ValueError):  # no such path, or no descriptor
+        return
+    if stat.S_ISREG(b.st_mode) and (a.st_dev, a.st_ino) == (b.st_dev, b.st_ino):
+        raise UsageError(f"{path} is also open as an input or output of this run")
 
 
 def _make_outdir(path: str) -> Path:
@@ -273,6 +286,7 @@ def cmd_estimate(args) -> int:
                 )
             except OSError as exc:
                 raise DataError(f"cannot read input: {exc}") from exc
+        _refuse_same_file(args.output, lines)
         out = _open_out(args.output, stack)
         start = time.perf_counter()
         for frame in read_frames(lines, on_skip=on_skip):
@@ -293,7 +307,7 @@ def cmd_estimate(args) -> int:
                 )
                 if commit is not None:
                     commits += 1
-                    out.write(json.dumps(commit_to_dict(commit), separators=(",", ":")) + "\n")
+                    out.write(dumps_line(commit_to_dict(commit)) + "\n")
     elapsed = time.perf_counter() - start
     fps = frames / elapsed if elapsed > 0 else float("inf")
     if skipped > SKIP_WARNINGS_SHOWN:
@@ -318,21 +332,22 @@ def cmd_simulate(args) -> int:
         raise UsageError("scenario has no floor_targets to aim at")
     if not use_targets and not scenario.directions:
         raise UsageError("scenario has no directions to point along")
+    if args.truth == "-" and args.output == "-":
+        raise UsageError("--truth - needs -o to name a file: both would write to stdout")
     n = 0
     with ExitStack() as stack:
         # --truth opens without truncation and is emptied once -o has opened,
         # so a bad path on either side leaves the other file's bytes as they were
-        truth_out = _open_file(args.truth, stack, "a") if args.truth else None
+        truth_out = _open_out(args.truth, stack, "a") if args.truth else None
+        if truth_out is not None:
+            _refuse_same_file(args.output, truth_out)
         out = _open_out(args.output, stack)
-        if truth_out is not None and stat.S_ISREG(os.fstat(truth_out.fileno()).st_mode):
+        if args.truth not in (None, "-") and stat.S_ISREG(os.fstat(truth_out.fileno()).st_mode):
             truth_out.truncate(0)  # pipes and devices have nothing to truncate
         for frame, truth in simulate_log(scenario, intr, use_targets=use_targets):
             out.write(frame_to_line(frame) + "\n")
             if truth_out is not None:
-                truth_out.write(
-                    json.dumps(truth_to_dict(truth, frame.timestamp), separators=(",", ":"))
-                    + "\n"
-                )
+                truth_out.write(dumps_line(truth_to_dict(truth, frame.timestamp)) + "\n")
             n += 1
     print(f"frames written: {n}", file=sys.stderr)
     return EXIT_OK

@@ -10,8 +10,9 @@ Depth samples carry pixel coordinates and depth in meters; invalid depth is
 never encoded (no zero sentinels), it is simply absent from ``samples``.
 ``t``, the bbox coordinates, ``conf`` and the sample values are JSON numbers.
 
-Lines are decoded with ``orjson`` when it is installed and with the stdlib
-``json`` otherwise; every line gets the same outcome either way.
+Lines are decoded and encoded with ``orjson`` when it is installed and with
+the stdlib ``json`` otherwise; every line gets the same outcome, and every
+written line the same bytes, either way.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ _NOT_STRUCTURE = bytes(range(256)).translate(None, b'"[]{}')
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
 _DEPTH_STEP[[ord("["), ord("{")]] = 1
 _DEPTH_STEP[[ord("]"), ord("}")]] = -1
+
+# orjson writes a float with json.dumps's bytes when it is 0 or its magnitude
+# lies in this range. Outside it, orjson writes 1e16 for 1e+16 and
+# 0.00005 for 5e-05.
+_ORJSON_FLOAT_RANGE = (1e-4, 1e16)
 
 
 class FrameFormatError(ValueError):
@@ -301,25 +307,72 @@ def _parse(line: str) -> DetectionFrame:
     return DetectionFrame(t, face, hands)
 
 
-def _roi_to_dict(roi: RoiPointSet) -> dict:
+def _orjson_writes_as_json(obj) -> bool:
+    """Whether orjson writes ``obj`` with the bytes ``json.dumps`` gives it.
+
+    Floats must be 0 or in ``_ORJSON_FLOAT_RANGE``, strings printable ASCII
+    (the stdlib escapes the rest), and arrays float64, checked in one pass.
+    Any other type is left to the stdlib.
+    """
+    kind = type(obj)
+    if kind is float:
+        return obj == 0.0 or _ORJSON_FLOAT_RANGE[0] <= abs(obj) < _ORJSON_FLOAT_RANGE[1]
+    if kind is list or kind is tuple:
+        return all(map(_orjson_writes_as_json, obj))
+    if kind is dict:
+        return all(map(_orjson_writes_as_json, obj)) and all(
+            map(_orjson_writes_as_json, obj.values()))
+    if kind is str:
+        return obj.isascii() and "\x7f" not in obj
+    if kind is np.ndarray:
+        if obj.dtype != np.float64:
+            return False
+        mag = np.abs(obj)
+        low, high = _ORJSON_FLOAT_RANGE
+        return bool(((obj == 0.0) | ((mag >= low) & (mag < high))).all())
+    return obj is None or kind is int or kind is bool
+
+
+def dumps_line(obj) -> str:
+    """``json.dumps(obj, separators=(",", ":"))``, computed by orjson where the two agree.
+
+    A numpy array in ``obj`` is written as its ``tolist()``. Where orjson is
+    absent, a value is out of its range (see ``_orjson_writes_as_json``) or
+    orjson refuses it (an integer beyond 64 bits), the stdlib writes the line.
+    """
+    if orjson is not None and _orjson_writes_as_json(obj):
+        try:
+            return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        except orjson.JSONEncodeError:
+            pass
+    return json.dumps(obj, separators=(",", ":"), default=np.ndarray.tolist)
+
+
+def _roi_to_dict(roi: RoiPointSet, samples: Callable[[np.ndarray], object]) -> dict:
     bb = roi.source_bbox
     return {
-        "bbox": [bb.u_min, bb.v_min, bb.u_max, bb.v_max],
-        "conf": bb.confidence,
-        "samples": roi.samples.tolist(),
+        # simulated corners are np.float64, which orjson does not write
+        "bbox": [float(bb.u_min), float(bb.v_min), float(bb.u_max), float(bb.v_max)],
+        "conf": float(bb.confidence),
+        "samples": samples(roi.samples),
+    }
+
+
+def _frame_record(frame: DetectionFrame, samples: Callable[[np.ndarray], object]) -> dict:
+    return {
+        "t": frame.timestamp,
+        "face": None if frame.face is None else _roi_to_dict(frame.face, samples),
+        "hands": [_roi_to_dict(h, samples) for h in frame.hands],
     }
 
 
 def frame_to_dict(frame: DetectionFrame) -> dict:
-    return {
-        "t": frame.timestamp,
-        "face": None if frame.face is None else _roi_to_dict(frame.face),
-        "hands": [_roi_to_dict(h) for h in frame.hands],
-    }
+    return _frame_record(frame, np.ndarray.tolist)
 
 
 def frame_to_line(frame: DetectionFrame) -> str:
-    return json.dumps(frame_to_dict(frame), separators=(",", ":"))
+    # the sample arrays go in whole, so that dumps_line checks each in one pass
+    return dumps_line(_frame_record(frame, np.asarray))
 
 
 def read_frames(

@@ -9,14 +9,13 @@ with the ground plane Z = 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .frames import DetectionFrame, RoiPointSet
+from .frames import DetectionFrame, RoiPointSet, dumps_line
 from .geometry import CameraIntrinsics
 from .roi import (
     DEFAULT_COBB_RATIO,
@@ -181,13 +180,14 @@ def result_to_dict(result: FrameResult) -> dict:
         "hand": None if est is None else est.hand_kp.tolist(),
         "pitch_deg": None if est is None else est.pitch_deg,
         "yaw_deg": None if est is None else est.yaw_deg,
-        "goal": None if result.goal is None else [result.goal.x, result.goal.y],
+        # goal coordinates are np.float64, which orjson does not write
+        "goal": None if result.goal is None else [float(result.goal.x), float(result.goal.y)],
         "reason": result.reason,
     }
 
 
 def result_to_line(result: FrameResult) -> str:
-    return json.dumps(result_to_dict(result), separators=(",", ":"))
+    return dumps_line(result_to_dict(result))
 
 
 def angular_error_deg(direction, true_ray) -> float:

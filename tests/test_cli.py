@@ -180,6 +180,21 @@ def test_estimate_skips_an_undecodable_line(source, noiseless_log, tmp_path, cap
     assert len(read_jsonl(out)) == 4
 
 
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_estimate_refuses_to_write_over_its_input(source, noiseless_log, tmp_path, capsys,
+                                                  monkeypatch):
+    log = tmp_path / "a.jsonl"
+    log.write_bytes(Path(noiseless_log).read_bytes())
+    before = log.read_bytes()
+    with open(log, encoding="utf-8") as stdin:
+        monkeypatch.setattr("sys.stdin", stdin)
+        argv = ["estimate", "-i", str(log) if source == "path" else "-", "-o", str(log)]
+        assert main(argv) == EXIT_USAGE
+    assert log.read_bytes() == before
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_estimate_missing_input_is_data_error(tmp_path, capsys):
     assert main(["estimate", "-i", str(tmp_path / "nope.jsonl")]) == EXIT_DATA
 
@@ -263,6 +278,34 @@ def test_simulate_writes_frames_and_truth(scenario_file, tmp_path, capsys):
     assert len(frames) == len(truth) == 2 * 2 * 2
     assert all("bbox" in f["face"] for f in frames)
     assert all("goal" in t for t in truth)
+
+
+def test_simulate_truth_dash_is_stdout(scenario_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    frames_path = tmp_path / "frames.jsonl"
+    code = main(["simulate", "--scenario", scenario_file, "-o", str(frames_path), "--truth", "-"])
+    assert code == EXIT_OK
+    truth = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [t["t"] for t in truth] == [f["t"] for f in read_jsonl(frames_path)]
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["-o", "-", "--truth", "-"],
+    ["--truth", "-"],
+    ["-o", "{kept}", "--truth", "{kept}"],
+], ids=["both-dash", "default-output", "same-file"])
+def test_simulate_refuses_two_outputs_to_one_place(argv, scenario_file, tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("old line\n")
+    argv = [arg.format(kept=kept) for arg in argv]
+    assert main(["simulate", "--scenario", scenario_file, *argv]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert kept.read_text() == "old line\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl", "scenario.json"]
 
 
 def test_simulate_targets_mode(scenario_file, tmp_path):

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pointray import frames
@@ -16,6 +16,8 @@ from pointray.frames import (
     DetectionFrame,
     FrameFormatError,
     RoiPointSet,
+    dumps_line,
+    frame_to_dict,
     frame_to_line,
     parse_frame,
     read_frames,
@@ -285,7 +287,8 @@ _FACE = '"face":{"bbox":[0,0,10,10],"conf":0.9,"samples":[[5,5,1]]}'
 
 @pytest.fixture(params=["orjson", "json"])
 def decoder(request, monkeypatch):
-    """Run the test once with orjson decoding and once with the stdlib alone."""
+    """Run the test once with orjson and once with the stdlib alone, which
+    then decodes and encodes every line."""
     if request.param == "orjson":
         pytest.importorskip("orjson")
     else:
@@ -488,3 +491,75 @@ def test_parse_restores_the_callers_gc_state(line, error, enabled, decoder):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# ---------------------------------------------------------------------------
+# Lines are encoded with the stdlib's bytes, by orjson where the two agree
+# ---------------------------------------------------------------------------
+
+def _stdlib_line(obj):
+    return json.dumps(obj, separators=(",", ":"), default=np.ndarray.tolist)
+
+
+# every float class: the edges of the range orjson writes as the stdlib does
+# and their neighbours, subnormals, signed zeros, 2**53 and non-finite values
+_EDGE_FLOATS = [
+    1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1),
+    1e16, math.nextafter(1e16, 0), math.nextafter(1e16, math.inf),
+    5e-324, 2.2250738585072014e-308, 0.0, -0.0, 2.0 ** 53, 1000000000000000.2,
+    math.nan, math.inf, -math.inf,
+]
+_EDGE_INTS = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64, -2 ** 63 - 1,
+              10 ** 30]
+_floats = st.sampled_from(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS]) | st.floats()
+_scalars = (_floats | st.sampled_from(_EDGE_INTS) | st.integers() | st.booleans() | st.none()
+            | st.sampled_from(["no_hand", "\x7f", "\n\"\\", "\u00e9", "\ud800"]) | st.text())
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+_samples = st.lists(st.tuples(_floats, _floats, _floats), max_size=6).map(
+    lambda rows: np.array(rows, dtype=float).reshape(-1, 3))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=_values, samples=_samples)
+def test_dumps_line_writes_the_stdlib_bytes(value, samples, decoder):
+    record = {"t": value, "samples": samples, "hands": [value, {"conf": value}]}
+    assert dumps_line(record) == _stdlib_line(record)
+    assert dumps_line(value) == _stdlib_line(value)
+
+
+@pytest.fixture()
+def orjson_calls(monkeypatch):
+    """The objects handed to ``orjson.dumps`` during the test."""
+    orjson = pytest.importorskip("orjson")
+    calls = []
+    dumps = orjson.dumps
+
+    def spy(obj, **kw):
+        calls.append(obj)
+        return dumps(obj, **kw)
+
+    monkeypatch.setattr(orjson, "dumps", spy)
+    return calls
+
+
+def test_frame_to_line_writes_a_simulated_frame_through_orjson(orjson_calls):
+    frame, _ = synthesize_frame(SubjectModel(), (2.0, 0.0), direction=(35.0, 10.0),
+                                noise=NoiseModel(), intr=default_intrinsics(),
+                                rng=np.random.default_rng(3), timestamp=0.5)
+    assert type(frame.face.source_bbox.u_min) is np.float64  # orjson refuses these
+    assert frame_to_line(frame) == json.dumps(frame_to_dict(frame), separators=(",", ":"))
+    assert len(orjson_calls) == 1
+
+
+def test_frame_to_line_writes_a_tiny_depth_with_the_stdlib(orjson_calls):
+    frame = DetectionFrame(0.5, make_roi("face", samples=((150, 140, 5e-05),)), ())
+    line = frame_to_line(frame)
+    assert line == json.dumps(frame_to_dict(frame), separators=(",", ":"))
+    assert "[150.0,140.0,5e-05]" in line  # orjson writes 0.00005
+    assert orjson_calls == []
