@@ -165,28 +165,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(load, path: str, what: str):
-    """``load(path)``; an unreadable file is a data error, bad content a usage error."""
+def _load_config(load, path: str, what: str, read: list):
+    """``load(path)``; an unreadable file is a data error, bad content a usage error.
+    The file's ``_file_id`` joins ``read``, the files no output of the run may be."""
     try:
-        return load(path)
+        config = load(path)
     except OSError as exc:
         raise DataError(f"cannot read {what} file: {exc}") from exc
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
             RecursionError) as exc:
         raise UsageError(f"bad {what} file {path}: {exc}") from exc
+    read.append(_file_id(path))
+    return config
 
 
-def _load_intrinsics(path: str | None) -> CameraIntrinsics:
+def _load_intrinsics(path: str | None, read: list) -> CameraIntrinsics:
     if path is None:
         return default_intrinsics()
-    return _load_config(CameraIntrinsics.load, path, "intrinsics")
+    return _load_config(CameraIntrinsics.load, path, "intrinsics", read)
 
 
-def _load_scenario(path: str | None, seed: int | None) -> Scenario:
+def _load_scenario(path: str | None, seed: int | None, read: list) -> Scenario:
     if path is None:
         scenario = default_scenario()
     else:
-        scenario = _load_config(Scenario.load, path, "scenario")
+        scenario = _load_config(Scenario.load, path, "scenario", read)
     if seed is not None:
         scenario = Scenario.from_dict({**scenario.to_dict(), "seed": seed})
     return scenario
@@ -203,29 +206,33 @@ def _params_from_args(args) -> EstimatorParams:
         raise UsageError(str(exc)) from exc
 
 
-def _open_file(path: str, stack: ExitStack, mode: str = "w"):
-    """``path`` opened for writing (``mode`` "w" or "a") and closed with ``stack``."""
+def _open_out(path: str, stack: ExitStack, mode: str = "w"):
+    """stdout for "-", else ``path`` opened for writing (``mode`` "w" or "a")
+    and closed with ``stack``."""
+    if path == "-":
+        return sys.stdout
     try:
         return stack.enter_context(open(path, mode, encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}") from exc
 
 
-def _open_out(path: str, stack: ExitStack, mode: str = "w"):
-    return sys.stdout if path == "-" else _open_file(path, stack, mode)
-
-
-def _refuse_same_file(path: str, held) -> None:
-    """Refuse to write ``path`` when it is the regular file the stream ``held``
-    has open: opening it for writing would empty that file before it is used."""
-    if path == "-":
-        return
+def _file_id(f) -> tuple[int, int] | None:
+    """``(st_dev, st_ino)`` of the regular file at path ``f`` or open as stream
+    ``f``; None for anything else (no such path, no descriptor, a pipe)."""
     try:
-        a, b = os.fstat(held.fileno()), os.stat(path)
-    except (AttributeError, OSError, ValueError):  # no such path, or no descriptor
-        return
-    if stat.S_ISREG(b.st_mode) and (a.st_dev, a.st_ino) == (b.st_dev, b.st_ino):
-        raise UsageError(f"{path} is also open as an input or output of this run")
+        s = os.stat(f) if isinstance(f, (str, Path)) else os.fstat(f.fileno())
+    except (AttributeError, OSError, ValueError):
+        return None
+    return (s.st_dev, s.st_ino) if stat.S_ISREG(s.st_mode) else None
+
+
+def _refuse_same_file(path, held: list) -> None:
+    """Refuse to write ``path`` when its ``_file_id`` is in ``held``, the files
+    the run reads or writes: opening it for writing would empty that file."""
+    ident = None if path == "-" else _file_id(path)
+    if ident is not None and ident in held:
+        raise UsageError(f"{path} is also an input or output of this run")
 
 
 def _make_outdir(path: str) -> Path:
@@ -238,7 +245,8 @@ def _make_outdir(path: str) -> Path:
 
 
 def cmd_estimate(args) -> int:
-    intr = _load_intrinsics(args.intrinsics)
+    read: list = []
+    intr = _load_intrinsics(args.intrinsics, read)
     params = _params_from_args(args)
     strategy = KeypointStrategy.from_name(args.strategy)
     tracker = gate = None
@@ -286,7 +294,7 @@ def cmd_estimate(args) -> int:
                 )
             except OSError as exc:
                 raise DataError(f"cannot read input: {exc}") from exc
-        _refuse_same_file(args.output, lines)
+        _refuse_same_file(args.output, [*read, _file_id(lines)])
         out = _open_out(args.output, stack)
         start = time.perf_counter()
         for frame in read_frames(lines, on_skip=on_skip):
@@ -324,8 +332,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    intr = _load_intrinsics(args.intrinsics)
-    scenario = _load_scenario(args.scenario, args.seed)
+    read: list = []
+    intr = _load_intrinsics(args.intrinsics, read)
+    scenario = _load_scenario(args.scenario, args.seed, read)
     validate_scenario_strict(scenario, intr)
     use_targets = args.aim == "targets"
     if use_targets and not scenario.floor_targets:
@@ -334,13 +343,14 @@ def cmd_simulate(args) -> int:
         raise UsageError("scenario has no directions to point along")
     if args.truth == "-" and args.output == "-":
         raise UsageError("--truth - needs -o to name a file: both would write to stdout")
+    for path in filter(None, (args.output, args.truth)):
+        _refuse_same_file(path, read)
     n = 0
     with ExitStack() as stack:
         # --truth opens without truncation and is emptied once -o has opened,
         # so a bad path on either side leaves the other file's bytes as they were
         truth_out = _open_out(args.truth, stack, "a") if args.truth else None
-        if truth_out is not None:
-            _refuse_same_file(args.output, truth_out)
+        _refuse_same_file(args.output, [_file_id(truth_out)])
         out = _open_out(args.output, stack)
         if args.truth not in (None, "-") and stat.S_ISREG(os.fstat(truth_out.fileno()).st_mode):
             truth_out.truncate(0)  # pipes and devices have nothing to truncate
@@ -354,8 +364,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment_a(args) -> int:
-    intr = _load_intrinsics(args.intrinsics)
-    scenario = _load_scenario(args.scenario, args.seed)
+    read: list = []
+    intr = _load_intrinsics(args.intrinsics, read)
+    scenario = _load_scenario(args.scenario, args.seed, read)
     validate_scenario_strict(scenario, intr)
     params = _params_from_args(args)
     try:
@@ -367,6 +378,8 @@ def cmd_experiment_a(args) -> int:
     if not strategies:
         raise UsageError("no strategies selected")
     outdir = _make_outdir(args.outdir)
+    for name in ["angle_cells.csv", "summary.txt", *(f"heatmap_{s.value}.svg" for s in strategies)]:
+        _refuse_same_file(outdir / name, read)
     cells = run_experiment_a(
         scenario, intr, strategies=strategies, params=params,
         frames_per_cell=args.frames, jobs=args.jobs,
@@ -386,14 +399,17 @@ def cmd_experiment_a(args) -> int:
 
 
 def cmd_experiment_b(args) -> int:
-    intr = _load_intrinsics(args.intrinsics)
-    scenario = _load_scenario(args.scenario, args.seed)
+    read: list = []
+    intr = _load_intrinsics(args.intrinsics, read)
+    scenario = _load_scenario(args.scenario, args.seed, read)
     validate_scenario_strict(scenario, intr)
     params = _params_from_args(args)
     strategy = KeypointStrategy.from_name(args.strategy)
     if not scenario.floor_targets:
         raise UsageError("scenario has no floor_targets")
     outdir = _make_outdir(args.outdir)
+    for name in ("goal_cells.csv", "goal_table.txt"):
+        _refuse_same_file(outdir / name, read)
     cells = run_experiment_b(
         scenario, intr, strategy=strategy, params=params,
         frames_per_cell=args.frames, jobs=args.jobs,
@@ -406,7 +422,7 @@ def cmd_experiment_b(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    intr = _load_intrinsics(args.intrinsics)
+    intr = _load_intrinsics(args.intrinsics, [])  # bench writes only to stdout
     params = _params_from_args(args)
     strategy = KeypointStrategy.from_name(args.strategy)
     subject = SubjectModel()

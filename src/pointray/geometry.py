@@ -20,18 +20,6 @@ from pathlib import Path
 import numpy as np
 
 
-class GeometryError(ValueError):
-    """Base class for invalid geometric inputs."""
-
-
-class InvalidDepthError(GeometryError):
-    """Depth is zero or negative where a positive depth is required."""
-
-
-class BehindCameraError(GeometryError):
-    """Point lies on or behind the image plane and cannot be projected."""
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters plus the mounting height of a level camera.
@@ -53,11 +41,11 @@ class CameraIntrinsics:
         for name in ("fx", "fy", "camera_height"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too
-                raise GeometryError(f"{name} must be finite and positive, got {value}")
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not (0 <= self.cx < self.width):
-            raise GeometryError(f"cx={self.cx} outside [0, {self.width})")
+            raise ValueError(f"cx={self.cx} outside [0, {self.width})")
         if not (0 <= self.cy < self.height):
-            raise GeometryError(f"cy={self.cy} outside [0, {self.height})")
+            raise ValueError(f"cy={self.cy} outside [0, {self.height})")
 
     @classmethod
     def from_dict(cls, data: dict) -> "CameraIntrinsics":
@@ -80,11 +68,6 @@ class CameraIntrinsics:
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-
 
 def default_intrinsics() -> CameraIntrinsics:
     """Bundled 640x480, 68-degree-hfov sensor mounted 1.2 m above ground."""
@@ -95,7 +78,7 @@ def default_intrinsics() -> CameraIntrinsics:
 def deproject(u: float, v: float, z: float, intr: CameraIntrinsics) -> np.ndarray:
     """Back-project pixel (u, v) at depth z into a world-frame point (X, Y, Z)."""
     if not z > 0:
-        raise InvalidDepthError(f"cannot deproject non-positive depth z={z}")
+        raise ValueError(f"cannot deproject non-positive depth z={z}")
     x = (u - intr.cx) * z / intr.fx
     y = (v - intr.cy) * z / intr.fy
     return np.array([x, z, intr.camera_height - y])
@@ -105,7 +88,7 @@ def project(p: np.ndarray, intr: CameraIntrinsics) -> tuple[float, float, float]
     """Project a world-frame point onto the image; returns (u, v, depth)."""
     x, depth, height = p
     if not depth > 0:
-        raise BehindCameraError(f"point at depth {depth} is behind the camera")
+        raise ValueError(f"point at depth {depth} is behind the camera")
     u = intr.fx * x / depth + intr.cx
     v = intr.fy * (intr.camera_height - height) / depth + intr.cy
     return u, v, depth

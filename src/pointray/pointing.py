@@ -110,12 +110,6 @@ def ray_angles(ray) -> tuple[float, float]:
     return pitch, yaw
 
 
-def pointing_angles(direction) -> tuple[float, float]:
-    """Angles of the pointing ray for a face-minus-hand direction vector."""
-    dx, dy, dz = (float(c) for c in direction)
-    return ray_angles((-dx, -dy, -dz))
-
-
 def ground_intersection_world(face_kp: np.ndarray, hand_kp: np.ndarray) -> GoalPoint | None:
     """Intersect the eye-through-hand ray with the ground plane Z = 0.
 
@@ -162,8 +156,9 @@ def estimate_frame(
         hand = select_pointing_hand(frame.hands)
         face_kp = _roi_keypoint(frame.face, strategy, params, intr)
         hand_kp = _roi_keypoint(hand, strategy, params, intr)
-        direction = tuple(face_kp - hand_kp)
-        pitch, yaw = pointing_angles(direction)
+        direction = tuple((face_kp - hand_kp).tolist())
+        # negated rather than hand_kp - face_kp, so that equal x gives yaw -0.0
+        pitch, yaw = ray_angles([-c for c in direction])
     except NoEstimate as exc:
         return FrameResult(t, None, None, exc.reason)
     estimate = PointingEstimate(face_kp, hand_kp, direction, pitch, yaw)

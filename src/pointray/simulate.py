@@ -50,10 +50,6 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-class PoseUnrenderableError(ValueError):
-    """Subject geometry does not project inside the image for this pose."""
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Sensor imperfection model; all parameters are per-run constants."""
@@ -159,11 +155,6 @@ class Scenario:
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-
     def noiseless(self) -> "Scenario":
         return replace(self, noise=NoiseModel.noiseless())
 
@@ -242,7 +233,7 @@ def _roi_layout(
     The bbox must stay inside the image under jitter up to 3 sigma."""
     z = center_world[1]
     if z <= 0.1:
-        raise PoseUnrenderableError(f"{label} sits at depth {z:.2f} m, too close")
+        raise ValueError(f"{label} sits at depth {z:.2f} m, too close")
     u, v, _ = project(center_world, intr)
     w_px = intr.fx * phys_size[0] * BBOX_MARGIN / z
     h_px = intr.fy * phys_size[1] * BBOX_MARGIN / z
@@ -253,7 +244,7 @@ def _roi_layout(
         or u + 0.5 * w_px + margin > intr.width - 1
         or v + 0.5 * h_px + margin > intr.height - 1
     ):
-        raise PoseUnrenderableError(
+        raise ValueError(
             f"{label} bbox leaves the image (center {u:.0f},{v:.0f}, "
             f"size {w_px:.0f}x{h_px:.0f})"
         )
@@ -374,7 +365,7 @@ def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
                 truth = _pose_geometry(scenario.subject, (range_m, bearing_deg), **aim)
                 _roi_layout(truth.eye, FACE_SIZE_M, FACE, scenario.noise, intr)
                 _roi_layout(truth.fingertip, HAND_SIZE_M, HAND, scenario.noise, intr)
-            except (PoseUnrenderableError, ValueError) as exc:
+            except ValueError as exc:
                 [(kind, value)] = aim.items()
                 errors.append(f"positions[{i}] x {kind} {value}: {exc}")
     return errors

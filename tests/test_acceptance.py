@@ -5,6 +5,7 @@ lines; plain ``pytest`` runs them silently as ordinary tests.
 """
 
 import dataclasses
+import json
 import math
 import time
 
@@ -309,7 +310,7 @@ def test_criterion_10_determinism(tmp_path):
         noise=NoiseModel(),
     )
     sc_path = tmp_path / "scenario.json"
-    scenario.save(sc_path)
+    sc_path.write_text(json.dumps(scenario.to_dict()))
     outs = [tmp_path / name for name in ("r1", "r2", "r3")]
     base = ["experiment-a", "--scenario", str(sc_path), "--strategies", "mean,dbscan"]
     assert main(base + ["--outdir", str(outs[0])]) == EXIT_OK

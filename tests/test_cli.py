@@ -31,7 +31,7 @@ def small_scenario(noise=None, frames=2, **kw):
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
-    small_scenario().save(path)
+    path.write_text(json.dumps(small_scenario().to_dict()))
     return str(path)
 
 
@@ -195,6 +195,21 @@ def test_estimate_refuses_to_write_over_its_input(source, noiseless_log, tmp_pat
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def intrinsics_file(tmp_path, name="intrinsics.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(default_intrinsics().to_dict()))
+    return str(path)
+
+
+def test_estimate_refuses_to_write_over_its_intrinsics(noiseless_log, tmp_path, capsys):
+    intr = intrinsics_file(tmp_path)
+    before = Path(intr).read_bytes()
+    assert main(["estimate", "-i", noiseless_log, "-o", intr, "--intrinsics", intr]) == EXIT_USAGE
+    assert Path(intr).read_bytes() == before
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_estimate_missing_input_is_data_error(tmp_path, capsys):
     assert main(["estimate", "-i", str(tmp_path / "nope.jsonl")]) == EXIT_DATA
 
@@ -308,6 +323,23 @@ def test_simulate_refuses_two_outputs_to_one_place(argv, scenario_file, tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl", "scenario.json"]
 
 
+@pytest.mark.parametrize("output", ["-o", "--truth"])
+@pytest.mark.parametrize("config", ["--scenario", "--intrinsics"])
+def test_simulate_refuses_to_write_over_a_config_file(config, output, scenario_file, tmp_path,
+                                                      capsys):
+    intr = intrinsics_file(tmp_path)
+    target = scenario_file if config == "--scenario" else intr
+    before = Path(target).read_bytes()
+    other = tmp_path / "other.jsonl"
+    argv = ["simulate", "--scenario", scenario_file, "--intrinsics", intr, output, target,
+            "--truth" if output == "-o" else "-o", str(other)]
+    assert main(argv) == EXIT_USAGE
+    assert Path(target).read_bytes() == before
+    assert not other.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_simulate_targets_mode(scenario_file, tmp_path):
     out = tmp_path / "frames.jsonl"
     code = main(["simulate", "--scenario", scenario_file, "--aim", "targets",
@@ -363,6 +395,29 @@ def test_experiment_b_artifacts(scenario_file, tmp_path, capsys):
     csv_text = (out / "goal_cells.csv").read_text()
     assert csv_text.splitlines()[0] == \
         "range_m,bearing_deg,target_x,target_y,strategy,mean_err_cm,std_err_cm,yield"
+
+
+@pytest.mark.parametrize("command, config, name", [
+    ("experiment-a", "--scenario", "summary.txt"),
+    ("experiment-a", "--intrinsics", "heatmap_mean.svg"),
+    ("experiment-b", "--scenario", "goal_table.txt"),
+])
+def test_experiment_refuses_to_write_over_a_config_file(command, config, name, scenario_file,
+                                                        tmp_path, capsys):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    if config == "--scenario":
+        path = outdir / name
+        path.write_bytes(Path(scenario_file).read_bytes())
+    else:
+        path = Path(intrinsics_file(outdir, name))
+    before = path.read_bytes()
+    argv = [command, "--scenario", scenario_file, config, str(path), "--frames", "1",
+            "--outdir", str(outdir)]
+    assert main(argv) == EXIT_USAGE
+    assert path.read_bytes() == before
+    assert [p.name for p in outdir.iterdir()] == [name]
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_frames_below_one_is_usage_error(scenario_file, tmp_path, capsys):

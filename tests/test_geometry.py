@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from pointray.geometry import (
-    BehindCameraError,
     CameraIntrinsics,
-    GeometryError,
-    InvalidDepthError,
     default_intrinsics,
     deproject,
     project,
@@ -66,31 +63,31 @@ def test_round_trips(intr):
 
 def test_deproject_rejects_nonpositive_depth(intr):
     for z in (0.0, -1.0):
-        with pytest.raises(InvalidDepthError):
+        with pytest.raises(ValueError, match="cannot deproject non-positive depth"):
             deproject(10.0, 10.0, z, intr)
 
 
 def test_project_behind_camera(intr):
     for depth in (0.0, -0.5):
-        with pytest.raises(BehindCameraError):
+        with pytest.raises(ValueError, match="is behind the camera"):
             project(np.array([0.0, depth, 1.0]), intr)
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, message",
     [
-        {"fx": 0.0},
-        {"fy": -5.0},
-        {"cx": 640.0},
-        {"cy": -1.0},
-        {"camera_height": 0.0},
+        ({"fx": 0.0}, "fx must be finite and positive"),
+        ({"fy": -5.0}, "fy must be finite and positive"),
+        ({"cx": 640.0}, r"cx=640.0 outside \[0, 640\)"),
+        ({"cy": -1.0}, r"cy=-1.0 outside \[0, 480\)"),
+        ({"camera_height": 0.0}, "camera_height must be finite and positive"),
     ],
 )
-def test_intrinsics_invariants(kwargs):
+def test_intrinsics_invariants(kwargs, message):
     base = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
                 camera_height=1.0)
     base.update(kwargs)
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValueError, match=message):
         CameraIntrinsics(**base)
 
 

@@ -13,7 +13,7 @@ from pointray.pointing import (
     EstimatorParams,
     estimate_frame,
     ground_intersection_world,
-    pointing_angles,
+    ray_angles,
     result_to_dict,
     result_to_line,
     select_pointing_hand,
@@ -68,19 +68,19 @@ def test_select_empty_raises():
 
 def test_angles_forward_down_diagonal():
     # ray (0, +1, -1): straight ahead and 45 degrees down
-    pitch, yaw = pointing_angles((0.0, -2.0, 2.0))  # P = face - hand
+    pitch, yaw = ray_angles(-np.array([0.0, -2.0, 2.0]))  # -(face - hand)
     assert yaw == pytest.approx(0.0)
     assert pitch == pytest.approx(45.0)
 
 
 def test_angles_horizontal_quadrant():
-    pitch, yaw = pointing_angles((-3.0, -3.0, 0.0))  # ray (3, 3, 0)
+    pitch, yaw = ray_angles(-np.array([-3.0, -3.0, 0.0]))  # ray (3, 3, 0)
     assert yaw == pytest.approx(45.0)
     assert pitch == pytest.approx(0.0)
 
 
 def test_angles_straight_down_pole():
-    pitch, yaw = pointing_angles((0.0, 0.0, 1.0))  # ray (0, 0, -1)
+    pitch, yaw = ray_angles(-np.array([0.0, 0.0, 1.0]))  # ray (0, 0, -1)
     assert pitch == pytest.approx(90.0)
     assert yaw == 0.0
 
@@ -92,8 +92,8 @@ def test_angles_scale_invariant():
         if np.linalg.norm(p) < 1e-6:
             continue
         k = float(rng.uniform(0.01, 100.0))
-        a1 = pointing_angles(p)
-        a2 = pointing_angles(k * p)
+        a1 = ray_angles(-p)
+        a2 = ray_angles(-(k * p))
         assert a1[0] == pytest.approx(a2[0], abs=1e-9)
         assert a1[1] == pytest.approx(a2[1], abs=1e-9)
 
@@ -104,14 +104,14 @@ def test_angles_ranges():
         p = rng.uniform(-1, 1, 3)
         if np.linalg.norm(p) < 1e-6:
             continue
-        pitch, yaw = pointing_angles(p)
+        pitch, yaw = ray_angles(-p)
         assert abs(pitch) <= 90.0
         assert -180.0 < yaw <= 180.0
 
 
 def test_angles_zero_vector_raises():
     with pytest.raises(NoEstimate) as info:
-        pointing_angles((0.0, 0.0, 0.0))
+        ray_angles(-np.array([0.0, 0.0, 0.0]))
     assert info.value.reason == "no_ground_hit"
 
 
@@ -241,6 +241,19 @@ def test_estimate_frame_success_schema(intr):
     assert parsed["t"] == 0.25
     assert parsed["reason"] is None
     assert len(parsed["goal"]) == 2
+
+
+def test_estimate_frame_keeps_the_sign_of_a_zero_yaw(intr):
+    # face and hand both on the optical axis's vertical plane (world x 0),
+    # the hand farther away: the ray points along +Y, and yaw is
+    # atan2(-(0.0 - 0.0), dy) = -0.0, which the record keeps
+    cu = intr.cx
+    face = roi("face", (cu - 30, 80, cu + 30, 160), [[cu, 120, 2.0]])
+    hand = roi("hand", (cu - 25, 250, cu + 25, 300), [[cu, 275, 2.4]])
+    res = estimate_frame(DetectionFrame(0.0, face, (hand,)), KeypointStrategy.MEAN_DEPTH,
+                         PARAMS, intr)
+    assert res.estimate.direction[0] == 0.0 and res.estimate.direction[1] < 0
+    assert '"yaw_deg":-0.0,' in result_to_line(res)
 
 
 def test_estimate_frame_failure_record(intr):
