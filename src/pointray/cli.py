@@ -306,13 +306,7 @@ def cmd_estimate(args) -> int:
                 estimates += 1
             out.write(result_to_line(result) + "\n")
             if gate is not None:
-                est = result.estimate
-                commit = gate.update(
-                    result.timestamp,
-                    result.goal,
-                    None if est is None else est.pitch_deg,
-                    None if est is None else est.yaw_deg,
-                )
+                commit = gate.update(result)
                 if commit is not None:
                     commits += 1
                     out.write(dumps_line(commit_to_dict(commit)) + "\n")
@@ -387,10 +381,8 @@ def cmd_experiment_a(args) -> int:
     write_text(outdir / "angle_cells.csv", angle_cells_to_csv(cells))
     for strategy in strategies:
         values, ranges, bearings = angle_cells_heatmap(cells, strategy.value)
-        svg = polar_heatmap_svg(
-            values, ranges, bearings,
-            title=f"Mean pointing error ({strategy.value} depth)", unit="deg",
-        )
+        svg = polar_heatmap_svg(values, ranges, bearings,
+                                title=f"Mean pointing error ({strategy.value} depth)")
         write_text(outdir / f"heatmap_{strategy.value}.svg", svg)
     summary = format_angle_summary(cells, strategies)
     write_text(outdir / "summary.txt", summary)
@@ -472,8 +464,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "frames", None) is not None and args.frames < 1:
-            raise UsageError(f"--frames must be at least 1, got {args.frames}")
+        for flag, least in (("frames", 1), ("jobs", 1), ("seed", 0)):
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise UsageError(f"--{flag} must be at least {least}, got {value}")
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # so that a closed reader shows here at the latest
         return code

@@ -177,22 +177,19 @@ def polar_heatmap_svg(
     bearings: list[float],
     *,
     title: str,
-    unit: str = "deg",
-    vmin: float = 0.0,
-    vmax: float | None = None,
 ) -> str:
     """Polar heatmap of grid cells: annular sectors, radially by range, angularly by bearing.
 
-    ``cell_values`` maps (range, bearing) to the plotted value; missing or
-    NaN cells render gray.
+    ``cell_values`` maps (range, bearing) to the plotted error in degrees;
+    the color scale runs from 0 to the largest finite value. Missing or NaN
+    cells render gray.
     """
     ranges = sorted(ranges)
     bearings = sorted(bearings)
     finite = [v for v in cell_values.values() if v is not None and not math.isnan(v)]
-    if vmax is None:
-        vmax = max(finite) if finite else 1.0
-    if vmax <= vmin:
-        vmax = vmin + 1.0
+    vmax = max(finite, default=1.0)
+    if vmax <= 0.0:
+        vmax = 1.0
 
     width, height = 640, 560
     cx, cy = 320.0, 470.0  # camera location on the canvas
@@ -221,7 +218,7 @@ def polar_heatmap_svg(
             if value is None or math.isnan(value):
                 fill = "#cccccc"
             else:
-                fill = _color((value - vmin) / (vmax - vmin))
+                fill = _color(value / vmax)
             p1 = xy(r_hi, b_lo)
             p2 = xy(r_hi, b_hi)
             p3 = xy(r_lo, b_hi)
@@ -267,9 +264,9 @@ def polar_heatmap_svg(
         f'<text x="{bar_x + bar_w + 4}" y="{bar_y + 8}" font-family="sans-serif" '
         f'font-size="11">{vmax:.2f}</text>'
         f'<text x="{bar_x + bar_w + 4}" y="{bar_y + bar_h}" font-family="sans-serif" '
-        f'font-size="11">{vmin:.2f}</text>'
+        f'font-size="11">0.00</text>'
         f'<text x="{bar_x - 4}" y="{bar_y + bar_h / 2:.0f}" font-family="sans-serif" '
-        f'font-size="11" text-anchor="end">{unit}</text>'
+        f'font-size="11" text-anchor="end">deg</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -340,9 +340,24 @@ def _aims(scenario: Scenario, use_targets: bool) -> list[dict]:
     return [{"direction": d} for d in scenario.directions]
 
 
+def _is_number_pair(p: tuple) -> bool:
+    return len(p) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in p
+    )
+
+
 def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
     """Check field sanity and renderability; returns offending-field messages."""
-    errors: list[str] = []
+    errors = [
+        f"{name}[{i}]: must be a pair of finite numbers, got {list(p)}"
+        for name in ("positions", "directions", "floor_targets")
+        for i, p in enumerate(getattr(scenario, name))
+        if not _is_number_pair(p)
+    ]
+    if errors:  # the renderability checks below need numbers
+        return errors
+    if scenario.seed < 0:
+        errors.append(f"seed: must be >= 0, got {scenario.seed}")
     if scenario.frames_per_pose < 1:
         errors.append(f"frames_per_pose: must be >= 1, got {scenario.frames_per_pose}")
     if not scenario.positions:
@@ -542,7 +557,8 @@ def _run_grid(run_cell, scenario: Scenario, intr: CameraIntrinsics, scoring,
     tasks = [(scenario, intr, params, scoring, i, j, frames) for i, j in cells]
     if jobs <= 1 or len(tasks) <= 1:
         return [run_cell(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # fork starts every worker at once, so no more than there are cells
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(run_cell, tasks))
 
 

@@ -4,14 +4,16 @@ The tracker runs one Kalman filter per detection track: a constant-velocity
 (position, velocity) filter on each bbox center axis and a random walk on
 each bbox size axis, written as closed-form scalar updates. Association is
 greedy nearest neighbor on center distance within a gate radius, separately
-per label.
+per label. ``step`` returns, in input order, the track each detection
+updated or started, and ``smooth`` rebinds each ROI to its track's bbox.
 
-The goal gate buffers the most recent goal points (30 by default, capped at
-one second of age) and commits their mean once the buffer is full and the
-positional sample-covariance trace falls below a threshold. A flag switches
-the gated quantity to the pointing-direction (pitch, yaw) spread instead,
-with yaw deviations taken around the circular mean so the +/-180 degree
-seam is no blind spot.
+The goal gate reads each frame's ``FrameResult``. It buffers the most
+recent goal points with the pitch and yaw of their estimate (30 by
+default, capped at one second of age) and commits their mean once the
+buffer is full and the positional sample-covariance trace falls below a
+threshold. A flag switches the gated quantity to the pointing-direction
+(pitch, yaw) spread instead, with yaw deviations taken around the circular
+mean so the +/-180 degree seam is no blind spot.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import FRAME_RATE_HZ, BoundingBox, DetectionFrame
-from .pointing import GoalPoint
+from .pointing import FrameResult
 
 GATE_MODE_GOAL = "goal"
 GATE_MODE_DIRECTION = "direction"
@@ -129,15 +131,6 @@ class Track:
         )
 
 
-@dataclass(frozen=True)
-class TrackedDetection:
-    """Smoothed stand-in for one input detection."""
-
-    detection_index: int
-    track_id: int
-    bbox: BoundingBox
-
-
 class DetectionTracker:
     """Bank of Kalman filters over face/hand detections.
 
@@ -160,12 +153,13 @@ class DetectionTracker:
         self._last_t = t
         face = [] if frame.face is None else [frame.face]
         rois = face + list(frame.hands)
-        smoothed = self.step([roi.source_bbox for roi in rois], dt)
-        rebound = [roi.with_bbox(tracked.bbox) for roi, tracked in zip(rois, smoothed)]
+        tracks = self.step([roi.source_bbox for roi in rois], dt)
+        rebound = [roi.with_bbox(track.bbox()) for roi, track in zip(rois, tracks)]
         return DetectionFrame(t, rebound[0] if face else None, tuple(rebound[len(face):]))
 
-    def step(self, detections: list[BoundingBox], dt: float) -> list[TrackedDetection]:
-        """Advance one frame; returns a smoothed bbox per input detection."""
+    def step(self, detections: list[BoundingBox], dt: float) -> list[Track]:
+        """Advance one frame; returns, in input order, the track each
+        detection updated or started."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         try:
@@ -175,17 +169,11 @@ class DetectionTracker:
             # nothing is known after such a gap: the detections start new tracks
             self.tracks = []
 
-        canonical = sorted(
-            range(len(detections)),
-            key=lambda i: (
-                detections[i].label,
-                detections[i].u_min,
-                detections[i].v_min,
-                detections[i].u_max,
-                detections[i].v_max,
-                -detections[i].confidence,
-            ),
-        )
+        def canonical_key(i: int) -> tuple:
+            d = detections[i]
+            return (d.label, d.u_min, d.v_min, d.u_max, d.v_max, -d.confidence)
+
+        canonical = sorted(range(len(detections)), key=canonical_key)
         gate = association_gate_px(self.params, dt)
         pairs = []
         for rank, det_idx in enumerate(canonical):
@@ -200,13 +188,11 @@ class DetectionTracker:
         pairs.sort(key=lambda p: (p[0], p[1], p[2]))
 
         matched_tracks: set[int] = set()
-        matched_dets: set[int] = set()
-        assignment: dict[int, Track] = {}
+        assignment: dict[int, Track] = {}  # detection index -> its track
         for _, track_id, _, track, det_idx in pairs:
-            if track_id in matched_tracks or det_idx in matched_dets:
+            if track_id in matched_tracks or det_idx in assignment:
                 continue
             matched_tracks.add(track_id)
-            matched_dets.add(det_idx)
             assignment[det_idx] = track
 
         survivors = []
@@ -218,7 +204,6 @@ class DetectionTracker:
             survivors.append(track)
         self.tracks = survivors
 
-        results = []
         for det_idx in canonical:
             det = detections[det_idx]
             track = assignment.get(det_idx)
@@ -228,9 +213,8 @@ class DetectionTracker:
                 track = Track(self._next_id, det, self.params)
                 self._next_id += 1
                 self.tracks.append(track)
-            results.append(TrackedDetection(det_idx, track.id, track.bbox()))
-        results.sort(key=lambda r: r.detection_index)
-        return results
+                assignment[det_idx] = track
+        return [assignment[i] for i in range(len(detections))]
 
 
 @dataclass(frozen=True)
@@ -265,69 +249,41 @@ class CommittedGoal:
 
 
 @dataclass
-class _GateEntry:
-    t: float
-    x: float
-    y: float
-    pitch_deg: float | None
-    yaw_deg: float | None
-
-
-@dataclass
 class GoalGate:
     """Windowed covariance gate over per-frame goal points."""
 
     params: GateParams = field(default_factory=GateParams)
 
     def __post_init__(self) -> None:
-        self._entries: deque[_GateEntry] = deque(maxlen=self.params.window)
+        # (t, x, y, pitch_deg, yaw_deg) of each buffered goal
+        self._entries: deque[tuple[float, ...]] = deque(maxlen=self.params.window)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def update(
-        self,
-        t: float,
-        goal: GoalPoint | None,
-        pitch_deg: float | None = None,
-        yaw_deg: float | None = None,
-    ) -> CommittedGoal | None:
+    def update(self, result: FrameResult) -> CommittedGoal | None:
         """Push this frame's goal (if any) and report a commitment if due.
 
         Entries older than the age limit are evicted first. After a commit
         the window clears, so each gesture commits at most once.
         """
+        t = result.timestamp
         cutoff = t - self.params.max_age_s
-        while self._entries and self._entries[0].t < cutoff:
+        while self._entries and self._entries[0][0] < cutoff:
             self._entries.popleft()
-        if goal is not None:
-            if self.params.mode == GATE_MODE_DIRECTION and (
-                pitch_deg is None or yaw_deg is None
-            ):
-                raise ValueError("direction-mode gating needs pitch/yaw with each goal")
-            self._entries.append(_GateEntry(t, goal.x, goal.y, pitch_deg, yaw_deg))
+        if result.goal is not None:  # a goal comes with the estimate it was cast from
+            est = result.estimate
+            self._entries.append((t, result.goal.x, result.goal.y, est.pitch_deg, est.yaw_deg))
         if len(self._entries) < self.params.window:
             return None
+        _, xs, ys, pitches, yaws = map(np.array, zip(*self._entries))
         if self.params.mode == GATE_MODE_GOAL:
-            xs = np.array([e.x for e in self._entries])
-            ys = np.array([e.y for e in self._entries])
             trace = float(np.var(xs, ddof=1) + np.var(ys, ddof=1))
             threshold = self.params.tau
         else:
-            ps = np.array([e.pitch_deg for e in self._entries], dtype=float)
-            yws = np.array([e.yaw_deg for e in self._entries], dtype=float)
-            trace = float(np.var(ps, ddof=1) + np.var(_yaw_deviations(yws), ddof=1))
+            trace = float(np.var(pitches, ddof=1) + np.var(_yaw_deviations(yaws), ddof=1))
             threshold = self.params.tau_angle
         if trace >= threshold:
             return None
-        commit = CommittedGoal(
-            timestamp=t,
-            x=float(np.mean([e.x for e in self._entries])),
-            y=float(np.mean([e.y for e in self._entries])),
-            cov_trace=trace,
-        )
         self._entries.clear()
-        return commit
+        return CommittedGoal(t, float(np.mean(xs)), float(np.mean(ys)), trace)
 
 
 def _yaw_deviations(yaw_deg: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ from pointray.cli import EXIT_OK, main
 from pointray.geometry import default_intrinsics
 from pointray.pointing import (
     EstimatorParams,
+    FrameResult,
     GoalPoint,
+    PointingEstimate,
     angular_error_deg,
     estimate_frame,
     ground_intersection_world,
@@ -234,12 +236,17 @@ def test_criterion_07_goal_table_shape():
               + " with reference values printed alongside")
 
 
+def _goal_result(t, goal):
+    est = PointingEstimate(np.zeros(3), np.zeros(3), (0.0, 0.0, 0.0), 30.0, 0.0)
+    return FrameResult(t, est, goal, None)
+
+
 def test_criterion_08_gate_contract():
     start = time.perf_counter()
     gate = GoalGate(GateParams())
     commits = []
     for i in range(30):
-        c = gate.update(i / 30.0, GoalPoint(0.75, 2.5), 30.0, 0.0)
+        c = gate.update(_goal_result(i / 30.0, GoalPoint(0.75, 2.5)))
         if c:
             commits.append(c)
     assert len(commits) == 1 and commits[0].cov_trace == 0.0
@@ -247,12 +254,12 @@ def test_criterion_08_gate_contract():
 
     gate = GoalGate(GateParams())
     for i in range(29):
-        assert gate.update(i / 30.0, GoalPoint(0.75, 2.5), 30.0, 0.0) is None
+        assert gate.update(_goal_result(i / 30.0, GoalPoint(0.75, 2.5))) is None
 
     gate = GoalGate(GateParams())
     for i in range(300):
         g = GoalPoint(0.5 if i % 2 else -0.5, 2.0)
-        assert gate.update(i / 30.0, g, 30.0, 0.0) is None
+        assert gate.update(_goal_result(i / 30.0, g)) is None
 
     # full window but above tau: never commits; below tau: commits once
     gate = GoalGate(GateParams(tau=0.01))
@@ -260,7 +267,7 @@ def test_criterion_08_gate_contract():
     committed = 0
     for i in range(60):
         g = GoalPoint(float(rng.normal(0, 0.002)), float(2 + rng.normal(0, 0.002)))
-        if gate.update(i / 30.0, g, 30.0, 0.0):
+        if gate.update(_goal_result(i / 30.0, g)):
             committed += 1
     assert committed >= 1
 

@@ -358,6 +358,38 @@ def test_simulate_invalid_scenario_lists_fields(tmp_path, capsys):
     assert "positions[0]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "{scenario}", "-o", "{out}", "--seed", "-1"],
+    ["experiment-a", "--scenario", "{scenario}", "--outdir", "{out}", "--seed", "-1"],
+    ["experiment-b", "--scenario", "{scenario}", "--outdir", "{out}", "--seed", "-1"],
+    ["bench", "--frames", "1", "--seed", "-1"],
+    ["experiment-a", "--scenario", "{scenario}", "--outdir", "{out}", "--jobs", "0"],
+    ["experiment-b", "--scenario", "{scenario}", "--outdir", "{out}", "--jobs", "-2"],
+    ["simulate", "--scenario", "{tmp}/seed.json", "-o", "{out}"],
+    ["simulate", "--scenario", "{tmp}/word.json", "-o", "{out}"],
+    ["simulate", "--scenario", "{tmp}/single.json", "-o", "{out}"],
+    ["simulate", "--scenario", "{tmp}/direction.json", "-o", "{out}"],
+    ["simulate", "--scenario", "{tmp}/target.json", "-o", "{out}", "--aim", "targets"],
+    ["experiment-a", "--scenario", "{tmp}/word.json", "--outdir", "{out}"],
+], ids=["simulate-seed", "experiment-a-seed", "experiment-b-seed", "bench-seed",
+        "experiment-a-jobs", "experiment-b-jobs", "scenario-seed", "position-word",
+        "position-single", "direction-word", "target-word", "experiment-a-position"])
+def test_bad_seeds_jobs_and_aims_are_usage_errors(argv, scenario_file, tmp_path, capsys):
+    base = small_scenario().to_dict()
+    for name, change in [("seed", {"seed": -1}), ("word", {"positions": [["a", 0]]}),
+                         ("single", {"positions": [[1.5]]}),
+                         ("direction", {"directions": [["x", 0]]}),
+                         ("target", {"floor_targets": [[0.0, "y"]]})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(base, **change)))
+    out = tmp_path / "out"
+    paths = {"tmp": tmp_path, "scenario": scenario_file, "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_simulate_missing_scenario_file(tmp_path):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                  "-o", str(tmp_path / "x")]) == EXIT_DATA

@@ -59,8 +59,8 @@ def test_goal_table_includes_reference_values():
 def test_heatmap_is_valid_svg_and_deterministic():
     cells = [angle_cell(r, b) for r in (1.5, 3.5) for b in (-20.0, 0.0, 20.0)]
     values, ranges, bearings = angle_cells_heatmap(cells, "mean")
-    svg1 = polar_heatmap_svg(values, ranges, bearings, title="test", unit="deg")
-    svg2 = polar_heatmap_svg(values, ranges, bearings, title="test", unit="deg")
+    svg1 = polar_heatmap_svg(values, ranges, bearings, title="test")
+    svg2 = polar_heatmap_svg(values, ranges, bearings, title="test")
     assert svg1 == svg2
     root = ET.fromstring(svg1)
     assert root.tag.endswith("svg")

@@ -196,6 +196,26 @@ def test_scenario_rejects_bad_fields(intr):
     assert "frames_per_pose" in joined and "range" in joined
 
 
+@pytest.mark.parametrize("field, value", [
+    ("positions", (("a", 0.0),)),
+    ("positions", ((1.5,),)),
+    ("positions", ((math.nan, 0.0),)),
+    ("positions", ((True, 0.0),)),
+    ("directions", (("x", 0.0),)),
+    ("floor_targets", ((0.0, 1.0, 2.0),)),
+    ("floor_targets", ((0.0, math.inf),)),
+], ids=["string", "single", "nan", "bool", "direction", "triple", "inf-target"])
+def test_scenario_rejects_aims_that_are_not_number_pairs(field, value, intr):
+    sc = dataclasses.replace(default_scenario(), **{field: value})
+    errors = validate_scenario(sc, intr)
+    assert errors == [f"{field}[0]: must be a pair of finite numbers, got {list(value[0])}"]
+
+
+def test_scenario_rejects_negative_seed(intr):
+    sc = dataclasses.replace(default_scenario(), seed=-1)
+    assert validate_scenario(sc, intr) == ["seed: must be >= 0, got -1"]
+
+
 def test_scenario_json_round_trip(tmp_path):
     sc = default_scenario()
     path = tmp_path / "scenario.json"
@@ -236,6 +256,34 @@ def test_experiment_a_serial_equals_parallel(intr):
     assert len(serial) == len(parallel)
     for a, b in zip(serial, parallel):
         assert (a.range_m, a.bearing_deg, a.strategy) == (b.range_m, b.bearing_deg, b.strategy)
+        assert np.array_equal(a.err_deg, b.err_deg, equal_nan=True)
+
+
+def test_grid_starts_no_more_workers_than_cells(intr, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("pointray.simulate.ProcessPoolExecutor", RecordingPool)
+    sc = small_scenario(frames=1)
+    serial = run_experiment_a(sc, intr)
+    capped = run_experiment_a(sc, intr, jobs=1000)
+    run_experiment_b(sc, intr, jobs=3)
+    assert sizes == [4, 3]  # 2 x 2 cells each
+    for a, b in zip(serial, capped):
         assert np.array_equal(a.err_deg, b.err_deg, equal_nan=True)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import ScalarCvKalman, kalman_steady_state_gain
 from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
-from pointray.pointing import GoalPoint
+from pointray.pointing import FrameResult, GoalPoint, PointingEstimate
 from pointray.tracking import (
     INIT_SPEED_SIGMA,
     CommittedGoal,
@@ -34,7 +34,7 @@ def test_stationary_detection_converges():
     for i in range(50):
         out = tracker.step([box(200.0, 150.0)], DT)
         if i >= 10:
-            cu, cv = out[0].bbox.center
+            cu, cv = out[0].bbox().center
             assert abs(cu - 200.0) < 0.5 and abs(cv - 150.0) < 0.5
 
 
@@ -55,7 +55,7 @@ def test_posterior_matches_scalar_kalman_oracle():
                        for m in (mu, mv)]
             continue
         expected = [oracle.step(DT, float(m)) for oracle, m in zip(oracles, (mu, mv))]
-        cu, cv = out[0].bbox.center
+        cu, cv = out[0].bbox().center
         assert cu == pytest.approx(expected[0], abs=1e-9)
         assert cv == pytest.approx(expected[1], abs=1e-9)
 
@@ -115,7 +115,7 @@ def test_two_separated_detections_get_stable_ids():
     ids = set()
     for _ in range(20):
         out = tracker.step([box(100, 100), box(500, 300)], DT)
-        ids.add(tuple(sorted((out[0].track_id, out[1].track_id))))
+        ids.add(tuple(sorted((out[0].id, out[1].id))))
     assert len(ids) == 1
     assert len(tracker.tracks) == 2
 
@@ -125,7 +125,7 @@ def test_face_and_hand_never_associate():
     tracker.step([box(100, 100, label="face")], DT)
     out = tracker.step([box(101, 100, label="hand")], DT)
     assert len(tracker.tracks) == 2  # the hand spawned its own track
-    assert out[0].bbox.label == "hand"
+    assert out[0].label == "hand"
 
 
 def test_detection_order_invariance():
@@ -140,14 +140,14 @@ def test_detection_order_invariance():
         d1 = [box(*a), box(*b)]
         out1 = t1.step(d1, DT)
         out2 = t2.step(d1[::-1], DT)
-        c1 = sorted((round(r.bbox.center[0], 9), round(r.bbox.center[1], 9)) for r in out1)
-        c2 = sorted((round(r.bbox.center[0], 9), round(r.bbox.center[1], 9)) for r in out2)
+        c1 = sorted((round(r.center[0], 9), round(r.center[1], 9)) for r in out1)
+        c2 = sorted((round(r.center[0], 9), round(r.center[1], 9)) for r in out2)
         assert c1 == c2
 
 
-def _tracked_key(result):
-    bb = result.bbox
-    return (result.track_id, bb.label, bb.u_min, bb.v_min, bb.u_max, bb.v_max, bb.confidence)
+def _tracked_key(track):
+    bb = track.bbox()
+    return (track.id, bb.label, bb.u_min, bb.v_min, bb.u_max, bb.v_max, bb.confidence)
 
 
 _detection = st.builds(
@@ -175,12 +175,17 @@ def test_tracker_output_independent_of_detection_order(frames, data):
         assert sorted(map(_tracked_key, out1)) == sorted(map(_tracked_key, out2))
 
 
-def test_smoothed_output_per_detection():
+def test_step_returns_held_tracks_in_input_order():
     tracker = DetectionTracker()
-    out = tracker.step([box(100, 100), box(500, 300)], DT)
-    assert [r.detection_index for r in out] == [0, 1]
+    out = tracker.step([box(500, 300), box(100, 100, label="face"), box(100, 100)], DT)
     # a new track's posterior equals its first measurement
-    assert out[0].bbox.center == pytest.approx((100.0, 100.0))
+    assert [t.bbox().center for t in out] == [(500.0, 300.0), (100.0, 100.0), (100.0, 100.0)]
+    assert [t.label for t in out] == ["hand", "face", "hand"]
+    assert {t.id for t in out} == {1, 2, 3}
+    # the next step updates the same objects, matched back to input order
+    out2 = tracker.step([box(102, 100), box(498, 300), box(100, 101, label="face")], DT)
+    assert [id(t) for t in out2] == [id(out[2]), id(out[0]), id(out[1])]
+    assert sorted(map(id, out2)) == sorted(map(id, tracker.tracks))
 
 
 def test_smooth_steps_on_frame_gaps_and_rebinds_rois():
@@ -199,7 +204,7 @@ def test_smooth_steps_on_frame_gaps_and_rebinds_rois():
         rois = [r for r in (frame.face, *frame.hands) if r is not None]
         want = reference.step([r.source_bbox for r in rois], dt)
         got = [r for r in (smoothed.face, *smoothed.hands) if r is not None]
-        assert [r.source_bbox for r in got] == [w.bbox for w in want]
+        assert [r.source_bbox for r in got] == [w.bbox() for w in want]
     # the sample on the hand's right edge falls outside its smoothed bbox
     assert len(smoothed.hands[0]) == 1
 
@@ -220,10 +225,18 @@ def test_dt_must_be_positive():
 # Goal gate
 # ---------------------------------------------------------------------------
 
+def result(t, goal, pitch_deg=30.0, yaw_deg=5.0):
+    """A frame result carrying ``goal`` (or no estimate at all for None)."""
+    if goal is None:
+        return FrameResult(t, None, None, "no_hand")
+    est = PointingEstimate(np.zeros(3), np.zeros(3), (0.0, 0.0, 0.0), pitch_deg, yaw_deg)
+    return FrameResult(t, est, goal, None)
+
+
 def feed(gate, goals, t0=0.0, rate=30.0):
     commits = []
     for i, g in enumerate(goals):
-        c = gate.update(t0 + i / rate, g, pitch_deg=30.0, yaw_deg=5.0)
+        c = gate.update(result(t0 + i / rate, g))
         if c is not None:
             commits.append(c)
     return commits
@@ -236,7 +249,8 @@ def test_gate_commits_on_identical_goals():
     c = commits[0]
     assert (c.x, c.y) == (1.0, 2.0)
     assert c.cov_trace == 0.0
-    assert len(gate) == 0  # window cleared after the commit
+    # the window cleared after the commit: 29 more goals do not refill it
+    assert feed(gate, [GoalPoint(1.0, 2.0)] * 29, t0=1.0) == []
 
 
 def test_gate_never_commits_with_29():
@@ -271,14 +285,18 @@ def test_gate_evicts_stale_entries():
     assert commits == []
     commits = feed(gate, goals, t0=2.5)
     assert commits == []
-    assert len(gate) == 15
+    # only the fresh 15 stay buffered: the window fills on the 15th further goal
+    commits = feed(gate, goals, t0=3.0)
+    assert [c.timestamp for c in commits] == [3.0 + 14 / 30.0]
 
 
 def test_gate_none_goal_keeps_window():
     gate = GoalGate(GateParams())
     feed(gate, [GoalPoint(1.0, 2.0)] * 10)
-    gate.update(10 / 30.0, None)
-    assert len(gate) == 10
+    assert gate.update(result(10 / 30.0, None)) is None
+    # the 10 goals stay buffered: the window of 30 commits on the 20th further goal
+    commits = feed(gate, [GoalPoint(1.0, 2.0)] * 20, t0=11 / 30.0, rate=60.0)
+    assert [c.timestamp for c in commits] == [11 / 30.0 + 19 / 60.0]
 
 
 def test_gate_one_commit_per_gesture():
@@ -295,8 +313,9 @@ def test_gate_direction_mode():
     commits = []
     # positions scatter widely but the angles are tight: direction mode commits
     for i in range(30):
-        c = gate.update(i / 30.0, GoalPoint(float(rng.normal(0, 2)), float(rng.normal(3, 2))),
-                        pitch_deg=30.0 + rng.normal(0, 0.2), yaw_deg=rng.normal(0, 0.2))
+        goal = GoalPoint(float(rng.normal(0, 2)), float(rng.normal(3, 2)))
+        c = gate.update(result(i / 30.0, goal, pitch_deg=30.0 + rng.normal(0, 0.2),
+                               yaw_deg=rng.normal(0, 0.2)))
         if c:
             commits.append(c)
     assert len(commits) == 1
@@ -305,8 +324,8 @@ def test_gate_direction_mode():
     rng = np.random.default_rng(3)
     commits2 = []
     for i in range(30):
-        c = gate2.update(i / 30.0, GoalPoint(float(rng.normal(0, 2)), float(rng.normal(3, 2))),
-                         pitch_deg=30.0, yaw_deg=0.0)
+        goal = GoalPoint(float(rng.normal(0, 2)), float(rng.normal(3, 2)))
+        c = gate2.update(result(i / 30.0, goal, pitch_deg=30.0, yaw_deg=0.0))
         if c:
             commits2.append(c)
     assert commits2 == []  # same positions fail the positional gate
@@ -319,7 +338,7 @@ def test_gate_direction_mode_wraps_yaw():
         commits = []
         for i in range(30):
             yaw = (179.9 if i % 2 else -179.9) + turn
-            c = gate.update(i / 30.0, GoalPoint(1.0, 2.0), pitch_deg=55.0, yaw_deg=yaw)
+            c = gate.update(result(i / 30.0, GoalPoint(1.0, 2.0), pitch_deg=55.0, yaw_deg=yaw))
             if c is not None:
                 commits.append(c)
         assert len(commits) == 1
@@ -330,7 +349,8 @@ def _direction_commits(yaws, offset):
     gate = GoalGate(GateParams(mode="direction"))
     commits = []
     for i, yaw in enumerate(yaws):
-        c = gate.update(i / 30.0, GoalPoint(1.0, 2.0), pitch_deg=40.0, yaw_deg=yaw + offset)
+        c = gate.update(result(i / 30.0, GoalPoint(1.0, 2.0), pitch_deg=40.0,
+                               yaw_deg=yaw + offset))
         if c is not None:
             commits.append(c)
     return commits
@@ -348,12 +368,6 @@ def test_gate_commits_invariant_to_full_yaw_turns(base, spread, jitter, turns):
     assert [c.timestamp for c in shifted] == [c.timestamp for c in ref]
     for a, b in zip(ref, shifted):
         assert b.cov_trace == pytest.approx(a.cov_trace, rel=1e-6, abs=1e-9)
-
-
-def test_gate_direction_mode_requires_angles():
-    gate = GoalGate(GateParams(mode="direction"))
-    with pytest.raises(ValueError):
-        gate.update(0.0, GoalPoint(1.0, 2.0))
 
 
 def test_gate_params_validation():
