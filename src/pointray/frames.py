@@ -13,6 +13,12 @@ never encoded (no zero sentinels), it is simply absent from ``samples``.
 Lines are decoded and encoded with ``orjson`` when it is installed and with
 the stdlib ``json`` otherwise; every line gets the same outcome, and every
 written line the same bytes, either way.
+
+A decoded ``samples`` array is read from its flattened rows by
+``np.fromiter`` where four checks show that this gives the array numpy's
+nested-list inference would (no string value, rows of three, a first value
+that is not a boolean, no NaN; see ``_sample_array``); the inference path
+decides and words every rejection.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -198,8 +205,31 @@ def _number(value, what: str) -> float:
         raise FrameFormatError(f"{what} is out of range: {exc}") from exc
 
 
-def _sample_array(raw) -> np.ndarray:
+def _sample_array(raw, no_strings: bool) -> np.ndarray:
     """Float array of a decoded ``samples`` value.
+
+    ``np.fromiter`` over the flattened rows costs about a third of numpy's
+    nested-list inference on a dense ROI, and is used where it gives the
+    inferred array: no value of the line is a string (``fromiter`` reads
+    ``"5"`` through ``float()``), every row has three values (it fills n rows
+    from any 3n values), the first value is not a boolean (an all-boolean
+    array must be rejected) and the result holds no NaN (it reads ``null`` as
+    NaN; a ``NaN`` literal falls back too). Any other value, or one it cannot
+    read, goes to ``_inferred_sample_array``, which words every rejection.
+    """
+    if no_strings:
+        try:
+            if set(map(len, raw)) == {3} and type(raw[0][0]) is not bool:
+                arr = np.fromiter(chain.from_iterable(raw), float, 3 * len(raw)).reshape(-1, 3)
+                if not np.isnan(arr).any():
+                    return arr
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return _inferred_sample_array(raw)
+
+
+def _inferred_sample_array(raw) -> np.ndarray:
+    """Float array of a decoded ``samples`` value, as numpy infers it.
 
     Strings, nulls and all-boolean arrays are rejected; a boolean among
     numbers is coerced, since checking every element would cost more than
@@ -220,7 +250,7 @@ def _sample_array(raw) -> np.ndarray:
         raise FrameFormatError(f"samples must be numbers: {exc}") from exc
 
 
-def _roi_from_dict(obj: dict, label: str) -> RoiPointSet:
+def _roi_from_dict(obj: dict, label: str, no_strings: bool) -> RoiPointSet:
     try:
         bbox_vals = obj["bbox"]
         conf = obj.get("conf", 1.0)
@@ -231,40 +261,47 @@ def _roi_from_dict(obj: dict, label: str) -> RoiPointSet:
         raise FrameFormatError(f"bbox must be [u0, v0, u1, v1], got {bbox_vals!r}")
     coords = [_number(c, "bbox coordinate") for c in bbox_vals]
     bbox = BoundingBox(*coords, label=label, confidence=_number(conf, "conf"))
-    return RoiPointSet._valid_part(_sample_array(raw), bbox)
+    return RoiPointSet._valid_part(_sample_array(raw, no_strings), bbox)
 
 
-def _nesting_depth(line: str) -> int:
-    """Deepest array/object nesting of a JSON text.
+def _nesting_depth(line: str) -> tuple[int, int | None]:
+    """Deepest array/object nesting of a JSON text, and its number of quotes
+    when it holds no backslash (None otherwise).
 
     Once the escape pairs are removed every quote opens or closes a string,
     so the brackets between quote pairs are the structure. Where the text
     stops being JSON the count may be off, but not before that point, so it
-    is never below the depth a decoder reaches.
+    is never below the depth a decoder reaches. Without a backslash every
+    string of a JSON text is two quotes and what lies between them.
     """
-    if "\\" in line:
+    escaped = "\\" in line
+    if escaped:
         line = _ESCAPE_PAIR.sub("", line)
     marks = line.encode("utf-8", "surrogatepass").translate(None, _NOT_STRUCTURE)
-    structure = np.frombuffer(b"".join(marks.split(b'"')[::2]), dtype=np.uint8)
-    return int(np.cumsum(_DEPTH_STEP[structure]).max(initial=0))
+    parts = marks.split(b'"')
+    structure = np.frombuffer(b"".join(parts[::2]), dtype=np.uint8)
+    depth = int(np.cumsum(_DEPTH_STEP[structure]).max(initial=0))
+    return depth, None if escaped else len(parts) - 1
 
 
 def _decode(line: str):
-    """``json.loads(line)``, computed by orjson where the two agree.
+    """``json.loads(line)``, computed by orjson where the two agree, and the
+    line's quote count from ``_nesting_depth``.
 
     Lines nested deeper than ``_MAX_DEPTH`` raise ``ValueError``. orjson
     refuses what the stdlib reads leniently (``NaN``, ``Infinity``, numbers
     beyond the float range, lone surrogates); those lines are decoded by the
     stdlib, which also words the error.
     """
-    if _nesting_depth(line) > _MAX_DEPTH:
+    depth, quotes = _nesting_depth(line)
+    if depth > _MAX_DEPTH:
         raise ValueError(f"nested deeper than {_MAX_DEPTH} levels")
     if orjson is not None:
         try:
-            return orjson.loads(line)
+            return orjson.loads(line), quotes
         except orjson.JSONDecodeError:
             pass
-    return json.loads(line)
+    return json.loads(line), quotes
 
 
 def parse_frame(line: str) -> DetectionFrame:
@@ -292,18 +329,21 @@ def parse_frame(line: str) -> DetectionFrame:
 
 def _parse(line: str) -> DetectionFrame:
     try:
-        obj = _decode(line)
+        obj, quotes = _decode(line)
     except (ValueError, RecursionError) as exc:  # includes json.JSONDecodeError
         raise FrameFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "t" not in obj:
         raise FrameFormatError("frame record must be an object with a 't' field")
     t = _number(obj["t"], "timestamp")
     face_obj = obj.get("face")
-    face = None if face_obj is None else _roi_from_dict(face_obj, FACE)
     hands_obj = obj.get("hands", [])
+    objects = (obj, face_obj, *hands_obj) if isinstance(hands_obj, list) else (obj, face_obj)
+    # when every quote belongs to a key of these objects, no value is a string
+    no_strings = quotes == 2 * sum(len(o) for o in objects if type(o) is dict)
+    face = None if face_obj is None else _roi_from_dict(face_obj, FACE, no_strings)
     if not isinstance(hands_obj, list):
         raise FrameFormatError("'hands' must be an array")
-    hands = tuple(_roi_from_dict(h, HAND) for h in hands_obj)
+    hands = tuple(_roi_from_dict(h, HAND, no_strings) for h in hands_obj)
     return DetectionFrame(t, face, hands)
 
 

@@ -50,6 +50,10 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Sensor imperfection model; all parameters are per-run constants."""
@@ -64,16 +68,20 @@ class NoiseModel:
     bbox_jitter_px: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.sigma0 < 0 or self.n0 <= 0 or self.n_min < 1:
-            raise ValueError("sigma0 >= 0, n0 > 0 and n_min >= 1 required")
+        # every check is written as what must hold, so that NaN fails it
+        if not (0.0 <= self.sigma0 < math.inf and 0.0 < self.n0 < math.inf
+                and _is_int(self.n_min) and self.n_min >= 1):
+            raise ValueError("finite sigma0 >= 0 and n0 > 0 and an integer n_min >= 1 required, "
+                             f"got {self.sigma0}, {self.n0} and {self.n_min!r}")
         if not 0.0 <= self.p_drop_max <= 1.0:
             raise ValueError(f"p_drop_max must lie in [0, 1], got {self.p_drop_max}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.bbox_jitter_px < 0:
-            raise ValueError("bbox_jitter_px must be >= 0")
-        if self.dropout_end_m <= self.dropout_start_m:
-            raise ValueError("dropout_end_m must exceed dropout_start_m")
+        if not 0.0 <= self.bbox_jitter_px < math.inf:
+            raise ValueError(f"bbox_jitter_px must be finite and >= 0, got {self.bbox_jitter_px}")
+        if not -math.inf < self.dropout_start_m < self.dropout_end_m < math.inf:
+            raise ValueError("dropout_start_m and dropout_end_m must be finite and the end must "
+                             f"exceed the start, got {self.dropout_start_m}, {self.dropout_end_m}")
 
     def sigma(self, z: float) -> float:
         return self.sigma0 * z * z
@@ -142,8 +150,8 @@ class Scenario:
             positions=data.get("positions", ()),
             directions=data.get("directions", ()),
             floor_targets=data.get("floor_targets", ()),
-            frames_per_pose=int(data.get("frames_per_pose", 60)),
-            seed=int(data.get("seed", 42)),
+            frames_per_pose=data.get("frames_per_pose", 60),
+            seed=data.get("seed", 42),
             noise=NoiseModel(**data.get("noise", {})),
         )
 
@@ -353,8 +361,12 @@ def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
         for name in ("positions", "directions", "floor_targets")
         for i, p in enumerate(getattr(scenario, name))
         if not _is_number_pair(p)
+    ] + [
+        f"{name}: must be an integer, got {getattr(scenario, name)!r}"
+        for name in ("seed", "frames_per_pose")
+        if not _is_int(getattr(scenario, name))
     ]
-    if errors:  # the renderability checks below need numbers
+    if errors:  # the checks below need numbers
         return errors
     if scenario.seed < 0:
         errors.append(f"seed: must be >= 0, got {scenario.seed}")

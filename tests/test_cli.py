@@ -390,6 +390,28 @@ def test_bad_seeds_jobs_and_aims_are_usage_errors(argv, scenario_file, tmp_path,
     assert not out.exists()
 
 
+_NOISE = vars(NoiseModel())
+
+
+@pytest.mark.parametrize("change", [
+    {"frames_per_pose": 2.7}, {"frames_per_pose": True}, {"frames_per_pose": "60"},
+    {"seed": 1.9}, {"seed": True}, {"seed": "60"},
+    *({"noise": dict(_NOISE, **{name: math.nan})} for name in _NOISE),
+], ids=["frames-float", "frames-bool", "frames-string", "seed-float", "seed-bool",
+        "seed-string", *(f"noise-{name}-nan" for name in _NOISE)])
+def test_bad_scenario_settings_exit_1_and_leave_the_output(change, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    # json writes NaN, which it reads back
+    path.write_text(json.dumps(dict(small_scenario().to_dict(), **change)))
+    out = tmp_path / "frames.jsonl"
+    out.write_text("old line\n")
+    assert main(["simulate", "--scenario", str(path), "-o", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert out.read_text() == "old line\n"
+
+
 def test_simulate_missing_scenario_file(tmp_path):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                  "-o", str(tmp_path / "x")]) == EXIT_DATA

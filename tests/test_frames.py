@@ -563,3 +563,83 @@ def test_frame_to_line_writes_a_tiny_depth_with_the_stdlib(orjson_calls):
     assert line == json.dumps(frame_to_dict(frame), separators=(",", ":"))
     assert "[150.0,140.0,5e-05]" in line  # orjson writes 0.00005
     assert orjson_calls == []
+
+
+# ---------------------------------------------------------------------------
+# Sample arrays are read from the flattened rows where that gives numpy's
+# nested-list inference; a string member sends a line down the inference path
+# ---------------------------------------------------------------------------
+
+def _with_note(line):
+    return line[:-1] + ',"note":"x"}'
+
+
+_SAMPLE_ODDITY = st.sampled_from([
+    '"5"', '"nan"', "true", "false", "null", "[]", "{}", "[2]",
+    "-0", "-0.0", "1e308", "NaN", "Infinity", "-Infinity",
+]) | st.builds(
+    lambda digits, lead, sign: sign + str(lead) * digits,
+    st.sampled_from([19, 25, 309, 400]), st.integers(1, 9), st.sampled_from(["", "-"]),
+)
+
+
+@st.composite
+def _samples_text(draw):
+    """Text of a ``samples`` array over the box [0, 0, 10, 10], with up to
+    two mutations: an odd value, a boolean first value, a ``[]`` or ``{}``
+    row, a ragged row, all-boolean rows or no rows at all."""
+    rows = [
+        [draw(st.sampled_from(["%r", "%d"])) % x for x in row]
+        for row in draw(st.lists(
+            st.tuples(st.floats(0, 10), st.floats(0, 10), st.floats(0.1, 5)),
+            min_size=1, max_size=5,
+        ))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1)) if rows else None
+        kind = draw(st.sampled_from(["value", "first", "row", "ragged", "booleans", "empty"]))
+        if kind == "value" and rows and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_SAMPLE_ODDITY)
+        elif kind == "first" and rows and rows[0]:
+            rows[0][0] = draw(st.sampled_from(["true", "false"]))
+        elif kind == "row" and rows:
+            rows[i] = draw(st.sampled_from([[], ["{}"]]))
+        elif kind == "ragged" and rows and rows[i]:
+            if draw(st.booleans()):
+                rows[i].append("1")
+            else:
+                rows[i].pop()
+        elif kind == "booleans":
+            rows = [[draw(st.sampled_from(["true", "false"])) for _ in range(3)] for _ in rows]
+        elif kind == "empty":
+            rows = []
+    # a ["{}"] row is written as the object {}, every other row as an array
+    return "[%s]" % ",".join("{}" if r == ["{}"] else "[%s]" % ",".join(r) for r in rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(face=_samples_text(), hand=_samples_text())
+def test_fromiter_and_inferred_sample_arrays_give_the_same_outcome(face, hand, decoder):
+    line = ('{"t":0.5,"face":{"bbox":[0,0,10,10],"conf":0.9,"samples":%s},'
+            '"hands":[{"bbox":[0,0,10,10],"samples":%s}]}' % (face, hand))
+    assert _outcome(line) == _outcome(_with_note(line))
+
+
+def test_dense_lines_take_the_fromiter_path(decoder, monkeypatch):
+    calls = []
+    inferred = frames._inferred_sample_array
+
+    def spy(raw):
+        calls.append(len(raw))
+        return inferred(raw)
+
+    monkeypatch.setattr(frames, "_inferred_sample_array", spy)
+    lines = _dense_lines(3)
+    plain = [parse_frame(line) for line in lines]
+    assert calls == []
+    noted = [parse_frame(_with_note(line)) for line in lines]
+    assert len(calls) == sum(1 + len(f.hands) for f in plain)
+    for a, b in zip(plain, noted):
+        for x, y in zip((a.face, *a.hands), (b.face, *b.hands)):
+            assert x.samples.tobytes() == y.samples.tobytes()

@@ -62,6 +62,13 @@ def test_noise_model_validation():
         NoiseModel(dropout_end_m=2.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NoiseModel)])
+def test_noise_model_rejects_non_finite_settings(name, value):
+    with pytest.raises(ValueError):
+        NoiseModel(**{name: value})
+
+
 def test_subject_model_validation():
     with pytest.raises(ValueError):
         SubjectModel(eye_height=2.0, height=1.8)
@@ -214,6 +221,14 @@ def test_scenario_rejects_aims_that_are_not_number_pairs(field, value, intr):
 def test_scenario_rejects_negative_seed(intr):
     sc = dataclasses.replace(default_scenario(), seed=-1)
     assert validate_scenario(sc, intr) == ["seed: must be >= 0, got -1"]
+
+
+@pytest.mark.parametrize("value", [2.7, 1.9, True, "60"])
+@pytest.mark.parametrize("name", ["frames_per_pose", "seed"])
+def test_scenario_rejects_counts_that_are_not_integers(name, value, intr):
+    sc = Scenario.from_dict(dict(default_scenario().to_dict(), **{name: value}))
+    assert getattr(sc, name) == value  # not truncated on the way in
+    assert validate_scenario(sc, intr) == [f"{name}: must be an integer, got {value!r}"]
 
 
 def test_scenario_json_round_trip(tmp_path):
