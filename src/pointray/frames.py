@@ -391,7 +391,7 @@ def dumps_line(obj) -> str:
 def _roi_to_dict(roi: RoiPointSet, samples: Callable[[np.ndarray], object]) -> dict:
     bb = roi.source_bbox
     return {
-        # simulated corners are np.float64, which orjson does not write
+        # a tracker's smoothed corners are np.float64, which orjson does not write
         "bbox": [float(bb.u_min), float(bb.v_min), float(bb.u_max), float(bb.v_max)],
         "conf": float(bb.confidence),
         "samples": samples(roi.samples),

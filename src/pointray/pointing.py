@@ -195,7 +195,10 @@ def angular_error_deg(direction, true_ray) -> float:
     ref = np.asarray(true_ray, dtype=float)
     if not (np.linalg.norm(est) and np.linalg.norm(ref)):
         raise ValueError("zero-length ray in angular error")
-    # atan2 of cross/dot keeps full precision near zero angle, unlike acos
-    cross = float(np.linalg.norm(np.cross(est, ref)))
+    # atan2 of cross/dot keeps full precision near zero angle, unlike acos.
+    # The cross product's components are np.cross's own products, in
+    # scalars: np.cross costs most of this function on a 3-vector.
+    (ex, ey, ez), (rx, ry, rz) = est.tolist(), ref.tolist()
+    cross = float(np.linalg.norm((ey * rz - ez * ry, ez * rx - ex * rz, ex * ry - ey * rx)))
     dot = float(np.dot(est, ref))
     return math.degrees(math.atan2(cross, dot))

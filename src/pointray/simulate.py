@@ -11,7 +11,10 @@ the boxes.
 
 All randomness flows from one scenario seed; each grid cell derives its own
 generator from (seed, stream, cell index) so serial and parallel runs agree
-bit for bit.
+bit for bit. The order of the draws and the arithmetic that turns them into
+a frame are part of the log format: a seed's log is compared byte for byte,
+and the benchmark's stream inputs are simulated logs identified by their
+sha256, so a change to either changes every input digest.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
@@ -115,10 +119,14 @@ class SubjectModel:
     arm_length: float = 0.60
 
     def __post_init__(self) -> None:
-        if not 0 < self.eye_height <= self.height:
-            raise ValueError("eye_height must be positive and at most the height")
-        if not 0 < self.shoulder_drop < self.arm_length:
-            raise ValueError("need 0 < shoulder_drop < arm_length")
+        # written as what must hold, so that NaN fails it, and bounded, so
+        # that infinity does
+        if not 0.0 < self.eye_height <= self.height < math.inf:
+            raise ValueError("need 0 < eye_height <= height with a finite height, got "
+                             f"{self.eye_height} and {self.height}")
+        if not 0.0 < self.shoulder_drop < self.arm_length < math.inf:
+            raise ValueError("need 0 < shoulder_drop < arm_length with a finite arm_length, "
+                             f"got {self.shoulder_drop} and {self.arm_length}")
 
     def reach_along(self, ray_unit: np.ndarray) -> float:
         uz = float(ray_unit[2])
@@ -214,6 +222,8 @@ def _pose_geometry(
         unit = to_target / np.linalg.norm(to_target)
     reach = subject.reach_along(unit)
     fingertip = eye + reach * unit
+    eye.setflags(write=False)  # the frames of one pose share their truth
+    fingertip.setflags(write=False)
     pitch, yaw = ray_angles(unit)
     if unit[2] < -1e-12:
         s = eye[2] / -unit[2]
@@ -259,46 +269,103 @@ def _roi_layout(
     return u, v, z, w_px, h_px
 
 
+_last_plan: tuple = ((), None)  # the last call's arguments and their plan
+
+
+def _pose_plan(subject, position, direction, target, noise: NoiseModel,
+               intr: CameraIntrinsics) -> tuple[GroundTruth, tuple, tuple, float]:
+    """What every frame of one pose shares: its truth, the face and hand
+    layouts from ``_roi_layout`` and the depth of the wall behind the
+    subject. Raises ValueError when the pose cannot be rendered.
+
+    The last plan is kept while every argument is the very object it was.
+    Identity, not equality, keys it: bearing -0.0 equals 0.0 but puts the
+    eye at x = -0.0, which the truth writes. Pose and aim go in as tuples,
+    so a list changed in place since the last call is a new key. The key
+    and its plan are read and replaced as one pair, so threads that race
+    here at worst build a plan twice.
+    """
+    global _last_plan
+    args = (subject, tuple(position), direction if direction is None else tuple(direction),
+            target if target is None else tuple(target), noise, intr)
+    key, plan = _last_plan
+    if plan is None or not all(map(operator.is_, args, key)):
+        truth = _pose_geometry(*args[:4])
+        face = tuple(map(float, _roi_layout(truth.eye, FACE_SIZE_M, FACE, noise, intr)))
+        hand = tuple(map(float, _roi_layout(truth.fingertip, HAND_SIZE_M, HAND, noise, intr)))
+        plan = truth, face, hand, float(truth.eye[1]) + WALL_OFFSET_M
+        _last_plan = args, plan
+    return plan
+
+
 def _synthesize_roi(
-    center_world: np.ndarray,
-    phys_size: tuple[float, float],
+    layout: tuple[float, float, float, float, float],
     label: str,
     wall_z: float,
     noise: NoiseModel,
-    intr: CameraIntrinsics,
     rng: np.random.Generator,
 ) -> RoiPointSet:
-    u0, v0, z, w_px, h_px = _roi_layout(center_world, phys_size, label, noise, intr)
+    """Render one ROI of a ``_roi_layout`` (u, v, z, bbox_w_px, bbox_h_px).
+
+    The draws, in order: the bbox jitter (2 normals), the foreground radii
+    and angles (``half`` uniforms each), depth noise and dropout (``n``
+    each), and, when ``noise.beta`` asks for background samples, the
+    candidates' u and v (``n_cand`` each) and the kept ones' depth noise
+    and dropout (``n_bg`` each). The plain form, one numpy call per draw,
+    is the reference renderer in ``tests/oracles.py``; this one makes fewer
+    calls, each with the reference's draws and bytes:
+
+    - the radii and angles come from one ``random(2 * half)``, split in
+      two halves: the generator fills an array one double at a time, so
+      one call of 2k doubles draws what two calls of k do, in order;
+    - the normals come from ``standard_normal`` in place of ``normal(0.0,
+      1.0)``: the same draws, which ``normal`` maps to 0.0 + 1.0 * x, equal
+      to x but for x = -0.0, and every normal is scaled and added to a
+      nonzero center, where the two zeros give the same sum;
+    - the jitter is clipped with Python's ``min``/``max``, which agree
+      with ``np.clip`` on every finite value;
+    - the background candidates are picked with a stable argsort of the
+      inside flags: those outside the silhouette first, each group in
+      draw order, as concatenating the two groups' indices gives;
+    - the rows are written into one array, whose kept rows are taken
+      once, in place of concatenating the pieces.
+    """
+    u0, v0, z, w_px, h_px = layout
     # Clipped at 3 sigma so renderability checked at validation time holds.
-    jitter = np.clip(rng.normal(0.0, 1.0, 2), -3.0, 3.0) * noise.bbox_jitter_px
-    cu, cv = u0 + jitter[0], v0 + jitter[1]
+    ju, jv = rng.standard_normal(2).tolist()
+    cu = u0 + min(max(ju, -3.0), 3.0) * noise.bbox_jitter_px
+    cv = v0 + min(max(jv, -3.0), 3.0) * noise.bbox_jitter_px
     bbox = BoundingBox(
         cu - 0.5 * w_px, cv - 0.5 * h_px, cu + 0.5 * w_px, cv + 0.5 * h_px,
         label, confidence=0.99,
     )
+    n = noise.sample_count(z)
+    n_bg = int(round(noise.beta * n))
+    rows = np.empty((n + n_bg, 3))
+    kept = np.empty(n + n_bg, dtype=bool)
 
     # Foreground surface samples in symmetric +/- pairs about the true center
     # pixel: the pixel centroid is exactly the projected object center, which
     # keeps the noiseless pipeline analytically exact.
-    n = noise.sample_count(z)
     half = n // 2
     radius = FG_DISC_RATIO * min(w_px, h_px)
-    rad = radius * np.sqrt(rng.random(half))
-    ang = rng.random(half) * (2.0 * math.pi)
+    draws = rng.random(2 * half)
+    rad = radius * np.sqrt(draws[:half])
+    ang = draws[half:] * (2.0 * math.pi)
     du = rad * np.cos(ang)
     dv = rad * np.sin(ang)
-    us = np.concatenate([u0 + du, u0 - du])
-    vs = np.concatenate([v0 + dv, v0 - dv])
+    rows[:half, 0] = u0 + du
+    rows[half:2 * half, 0] = u0 - du
+    rows[:half, 1] = v0 + dv
+    rows[half:2 * half, 1] = v0 - dv
     if n % 2:
-        us = np.append(us, u0)
-        vs = np.append(vs, v0)
-    zs = z + rng.normal(0.0, 1.0, n) * noise.sigma(z)
-    keep = rng.random(n) >= noise.p_drop(z)
+        rows[n - 1, :2] = u0, v0
+    rows[:n, 2] = z + rng.standard_normal(n) * noise.sigma(z)
+    np.greater_equal(rng.random(n), noise.p_drop(z), out=kept[:n])
 
     # Background wall samples appear only where the subject does not occlude
     # the wall: outside the object's silhouette ellipse (the box is a margin
     # larger than the object), but anywhere inside the box.
-    n_bg = int(round(noise.beta * n))
     if n_bg:
         n_cand = max(16, 4 * n_bg)
         uc = rng.uniform(bbox.u_min, bbox.u_max, n_cand)
@@ -306,18 +373,13 @@ def _synthesize_roi(
         a = 0.5 * w_px / BBOX_MARGIN
         b = 0.5 * h_px / BBOX_MARGIN
         outside = ((uc - u0) / a) ** 2 + ((vc - v0) / b) ** 2 > 1.0
-        pick = np.concatenate([np.flatnonzero(outside), np.flatnonzero(~outside)])[:n_bg]
-        ub, vb = uc[pick], vc[pick]
-    else:
-        ub = np.empty(0)
-        vb = np.empty(0)
-    zb = wall_z + rng.normal(0.0, 1.0, n_bg) * noise.sigma(wall_z)
-    keep_bg = rng.random(n_bg) >= noise.p_drop(wall_z)
-
-    us = np.concatenate([us[keep], ub[keep_bg]])
-    vs = np.concatenate([vs[keep], vb[keep_bg]])
-    zs = np.concatenate([zs[keep], zb[keep_bg]])
-    return RoiPointSet._valid_part(np.column_stack([us, vs, zs]), bbox)
+        pick = np.argsort(~outside, kind="stable")[:n_bg]
+        rows[n:, 0] = uc[pick]
+        rows[n:, 1] = vc[pick]
+        rows[n:, 2] = wall_z + rng.standard_normal(n_bg) * noise.sigma(wall_z)
+        np.greater_equal(rng.random(n_bg), noise.p_drop(wall_z), out=kept[n:])
+    # foreground samples may fall outside a small jittered box
+    return RoiPointSet._valid_part(rows[kept], bbox)
 
 
 def synthesize_frame(
@@ -332,11 +394,14 @@ def synthesize_frame(
     timestamp: float = 0.0,
 ) -> tuple[DetectionFrame, GroundTruth]:
     """Render one detection frame for a pose pointing along a direction
-    (pitch/yaw) or at a floor target (x, y)."""
-    truth = _pose_geometry(subject, position, direction, target)
-    wall_z = truth.eye[1] + WALL_OFFSET_M
-    face_roi = _synthesize_roi(truth.eye, FACE_SIZE_M, FACE, wall_z, noise, intr, rng)
-    hand_roi = _synthesize_roi(truth.fingertip, HAND_SIZE_M, HAND, wall_z, noise, intr, rng)
+    (pitch/yaw) or at a floor target (x, y).
+
+    Successive frames of one pose share its plan and so its ``GroundTruth``,
+    whose arrays are read-only. An unrenderable pose raises ValueError
+    before anything is drawn from ``rng``."""
+    truth, face, hand, wall_z = _pose_plan(subject, position, direction, target, noise, intr)
+    face_roi = _synthesize_roi(face, FACE, wall_z, noise, rng)
+    hand_roi = _synthesize_roi(hand, HAND, wall_z, noise, rng)
     frame = DetectionFrame(timestamp, face_roi, (hand_roi,))
     return frame, truth
 
@@ -389,9 +454,8 @@ def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
             continue
         for aim in _aims(scenario, use_targets=False) + _aims(scenario, use_targets=True):
             try:
-                truth = _pose_geometry(scenario.subject, (range_m, bearing_deg), **aim)
-                _roi_layout(truth.eye, FACE_SIZE_M, FACE, scenario.noise, intr)
-                _roi_layout(truth.fingertip, HAND_SIZE_M, HAND, scenario.noise, intr)
+                _pose_plan(scenario.subject, (range_m, bearing_deg), aim.get("direction"),
+                           aim.get("target"), scenario.noise, intr)
             except ValueError as exc:
                 [(kind, value)] = aim.items()
                 errors.append(f"positions[{i}] x {kind} {value}: {exc}")

@@ -4,7 +4,9 @@ These deliberately use different algorithms from the package: brute-force
 O(n^2) DBSCAN over an explicit adjacency matrix, a parametric ray-plane
 solver, and a textbook 2-state Kalman filter with its Riccati fixed point.
 The accuracy experiments' grid cells are written out as two separate
-per-cell loops, each spelling out its own random stream.
+per-cell loops, each spelling out its own random stream. The frame renderer
+is written in its plainest form: one numpy call per draw and a pose's
+geometry recomputed on every frame.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ import math
 
 import numpy as np
 
+from pointray.frames import FACE, HAND, BoundingBox, DetectionFrame, RoiPointSet
 from pointray.pointing import angular_error_deg, estimate_frame
-from pointray.simulate import synthesize_frame
+from pointray.simulate import (
+    BBOX_MARGIN, FACE_SIZE_M, FG_DISC_RATIO, HAND_SIZE_M, WALL_OFFSET_M, _pose_geometry,
+    _roi_layout, synthesize_frame,
+)
 
 
 def _dbscan_components(depths, eps: float, min_pts: int):
@@ -89,6 +95,15 @@ def ray_plane_oracle(face_world, hand_world):
         return None
     hit = f + s * (h - f)
     return hit[:2]
+
+
+def angular_error_reference(direction, true_ray) -> float:
+    """Degrees between ``-direction`` and ``true_ray``, from numpy's own
+    cross product: atan2(|est x ref|, est . ref)."""
+    est = -np.asarray(direction, dtype=float)
+    ref = np.asarray(true_ray, dtype=float)
+    return math.degrees(math.atan2(float(np.linalg.norm(np.cross(est, ref))),
+                                   float(np.dot(est, ref))))
 
 
 def collinearity_residual(goal_xy, face_world, hand_world) -> float:
@@ -197,3 +212,69 @@ def experiment_b_reference(scenario, intr, params, strategy, frames):
                 goals += 1
                 err[k] = 100.0 * math.hypot(goal.x - truth.goal[0], goal.y - truth.goal[1])
             yield goals, err
+
+
+def _synthesize_roi_reference(center_world, phys_size, label, wall_z, noise, intr, rng):
+    u0, v0, z, w_px, h_px = _roi_layout(center_world, phys_size, label, noise, intr)
+    # Clipped at 3 sigma so renderability checked at validation time holds.
+    jitter = np.clip(rng.normal(0.0, 1.0, 2), -3.0, 3.0) * noise.bbox_jitter_px
+    cu, cv = u0 + jitter[0], v0 + jitter[1]
+    bbox = BoundingBox(
+        cu - 0.5 * w_px, cv - 0.5 * h_px, cu + 0.5 * w_px, cv + 0.5 * h_px,
+        label, confidence=0.99,
+    )
+
+    # Foreground surface samples in symmetric +/- pairs about the true center
+    # pixel: the pixel centroid is exactly the projected object center, which
+    # keeps the noiseless pipeline analytically exact.
+    n = noise.sample_count(z)
+    half = n // 2
+    radius = FG_DISC_RATIO * min(w_px, h_px)
+    rad = radius * np.sqrt(rng.random(half))
+    ang = rng.random(half) * (2.0 * math.pi)
+    du = rad * np.cos(ang)
+    dv = rad * np.sin(ang)
+    us = np.concatenate([u0 + du, u0 - du])
+    vs = np.concatenate([v0 + dv, v0 - dv])
+    if n % 2:
+        us = np.append(us, u0)
+        vs = np.append(vs, v0)
+    zs = z + rng.normal(0.0, 1.0, n) * noise.sigma(z)
+    keep = rng.random(n) >= noise.p_drop(z)
+
+    # Background wall samples appear only where the subject does not occlude
+    # the wall: outside the object's silhouette ellipse (the box is a margin
+    # larger than the object), but anywhere inside the box.
+    n_bg = int(round(noise.beta * n))
+    if n_bg:
+        n_cand = max(16, 4 * n_bg)
+        uc = rng.uniform(bbox.u_min, bbox.u_max, n_cand)
+        vc = rng.uniform(bbox.v_min, bbox.v_max, n_cand)
+        a = 0.5 * w_px / BBOX_MARGIN
+        b = 0.5 * h_px / BBOX_MARGIN
+        outside = ((uc - u0) / a) ** 2 + ((vc - v0) / b) ** 2 > 1.0
+        pick = np.concatenate([np.flatnonzero(outside), np.flatnonzero(~outside)])[:n_bg]
+        ub, vb = uc[pick], vc[pick]
+    else:
+        ub = np.empty(0)
+        vb = np.empty(0)
+    zb = wall_z + rng.normal(0.0, 1.0, n_bg) * noise.sigma(wall_z)
+    keep_bg = rng.random(n_bg) >= noise.p_drop(wall_z)
+
+    us = np.concatenate([us[keep], ub[keep_bg]])
+    vs = np.concatenate([vs[keep], vb[keep_bg]])
+    zs = np.concatenate([zs[keep], zb[keep_bg]])
+    return RoiPointSet._valid_part(np.column_stack([us, vs, zs]), bbox)
+
+
+def synthesize_frame_reference(subject, position, *, direction=None, target=None, noise,
+                               intr, rng, timestamp=0.0):
+    """The frame renderer in its plainest form: the pose's geometry, layout
+    and every draw made afresh for each frame, one numpy call per draw."""
+    truth = _pose_geometry(subject, position, direction, target)
+    wall_z = truth.eye[1] + WALL_OFFSET_M
+    face_roi = _synthesize_roi_reference(truth.eye, FACE_SIZE_M, FACE, wall_z, noise, intr, rng)
+    hand_roi = _synthesize_roi_reference(truth.fingertip, HAND_SIZE_M, HAND, wall_z, noise,
+                                         intr, rng)
+    frame = DetectionFrame(timestamp, face_roi, (hand_roi,))
+    return frame, truth

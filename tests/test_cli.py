@@ -412,6 +412,35 @@ def test_bad_scenario_settings_exit_1_and_leave_the_output(change, tmp_path, cap
     assert out.read_text() == "old line\n"
 
 
+_SUBJECT = vars(SubjectModel())
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", list(_SUBJECT))
+@pytest.mark.parametrize("command", ["simulate", "experiment-a"])
+def test_non_finite_subject_exits_1_and_leaves_the_output(command, name, value, tmp_path,
+                                                           capsys):
+    path = tmp_path / "scenario.json"
+    subject = dict(_SUBJECT, **{name: value})
+    path.write_text(json.dumps(dict(small_scenario().to_dict(), subject=subject)))
+    out = tmp_path / "out"
+    if command == "simulate":
+        out.write_text("old line\n")
+        argv = ["simulate", "--scenario", str(path), "-o", str(out)]
+    else:
+        out.mkdir()
+        (out / "angle_cells.csv").write_text("old line\n")
+        argv = ["experiment-a", "--scenario", str(path), "--outdir", str(out), "--frames", "1"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    kept = out if command == "simulate" else out / "angle_cells.csv"
+    assert kept.read_text() == "old line\n"
+    if command == "experiment-a":
+        assert [p.name for p in out.iterdir()] == ["angle_cells.csv"]
+
+
 def test_simulate_missing_scenario_file(tmp_path):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                  "-o", str(tmp_path / "x")]) == EXIT_DATA

@@ -552,9 +552,17 @@ def test_frame_to_line_writes_a_simulated_frame_through_orjson(orjson_calls):
     frame, _ = synthesize_frame(SubjectModel(), (2.0, 0.0), direction=(35.0, 10.0),
                                 noise=NoiseModel(), intr=default_intrinsics(),
                                 rng=np.random.default_rng(3), timestamp=0.5)
-    assert type(frame.face.source_bbox.u_min) is np.float64  # orjson refuses these
-    assert frame_to_line(frame) == json.dumps(frame_to_dict(frame), separators=(",", ":"))
-    assert len(orjson_calls) == 1
+    # a tracker's smoothed box has np.float64 corners, which orjson refuses
+    bb = frame.face.source_bbox
+    corners = map(np.float64, (bb.u_min, bb.v_min, bb.u_max, bb.v_max))
+    tracked = DetectionFrame(frame.timestamp, frame.face.with_bbox(
+        BoundingBox(*corners, bb.label, bb.confidence)), frame.hands)
+    assert type(tracked.face.source_bbox.u_min) is np.float64
+    assert len(tracked.face) == len(frame.face)
+    line = frame_to_line(tracked)
+    assert line == json.dumps(frame_to_dict(tracked), separators=(",", ":"))
+    assert line == frame_to_line(frame)
+    assert len(orjson_calls) == 2
 
 
 def test_frame_to_line_writes_a_tiny_depth_with_the_stdlib(orjson_calls):

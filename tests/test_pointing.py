@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import collinearity_residual, ray_plane_oracle
+from oracles import angular_error_reference, collinearity_residual, ray_plane_oracle
 from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
 from pointray.pointing import (
     EstimatorParams,
+    angular_error_deg,
     estimate_frame,
     ground_intersection_world,
     ray_angles,
@@ -355,3 +356,30 @@ def test_estimator_params_validation():
         EstimatorParams(dbscan_eps=-1.0)
     with pytest.raises(ValueError):
         EstimatorParams(dbscan_min_pts=0)
+
+
+_components = st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(direction=st.tuples(_components, _components, _components),
+       ray=st.tuples(_components, _components, _components))
+def test_angular_error_equals_numpys_cross_product_bit_for_bit(direction, ray):
+    if not (any(direction) and any(ray)):
+        with pytest.raises(ValueError):
+            angular_error_deg(direction, ray)
+        return
+    # near-parallel pairs, where the cross product nearly cancels
+    for d in (direction, [-c for c in ray], [-c * (1 + 1e-9) for c in ray]):
+        got = angular_error_deg(np.array(d), ray)
+        assert got == angular_error_reference(d, ray)
+        assert 0.0 <= got <= 180.0
+
+
+def test_angular_error_of_known_pairs():
+    assert angular_error_deg((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)) == 0.0
+    assert angular_error_deg((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)) == 180.0
+    assert angular_error_deg((1.0, 0.0, 0.0), (0.0, 2.0, 0.0)) == 90.0
+    assert angular_error_deg((-1.0, -1.0, 0.0), (1.0, 0.0, 0.0)) == pytest.approx(45.0)
+    with pytest.raises(ValueError):
+        angular_error_deg((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))

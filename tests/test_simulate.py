@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import experiment_a_reference, experiment_b_reference, ray_plane_oracle
-from pointray.frames import RoiPointSet, frame_to_line
+from oracles import (
+    experiment_a_reference, experiment_b_reference, ray_plane_oracle, synthesize_frame_reference,
+)
+from pointray.frames import RoiPointSet, dumps_line, frame_to_line
+from pointray.geometry import default_intrinsics
 from pointray.pointing import EstimatorParams, angular_error_deg, estimate_frame
 from pointray.roi import KeypointStrategy
 from pointray.simulate import (
@@ -21,6 +26,7 @@ from pointray.simulate import (
     simulate_log,
     summarize_goal_by_distance,
     synthesize_frame,
+    truth_to_dict,
     validate_scenario,
     validate_scenario_strict,
 )
@@ -76,6 +82,13 @@ def test_subject_model_validation():
         SubjectModel(shoulder_drop=0.7, arm_length=0.6)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SubjectModel)])
+def test_subject_model_rejects_non_finite_settings(name, value):
+    with pytest.raises(ValueError):
+        SubjectModel(**{name: value})
+
+
 def test_reach_keeps_ray_through_fingertip():
     # fingertip = eye + reach * u must sit exactly arm_length from the shoulder
     for pitch, yaw in [(10, 0), (45, 120), (80, -60), (0, 180)]:
@@ -98,6 +111,107 @@ def test_same_seed_gives_identical_frames(intr):
     f2, _ = synthesize_frame(SUBJECT, (2.5, 10.0), direction=(35.0, 10.0),
                              noise=nm, intr=intr, rng=rng(42))
     assert frame_to_line(f1) == frame_to_line(f2)
+
+
+_INTR = default_intrinsics()
+_AIMS = [{"direction": d} for d in default_scenario().directions] + [
+    {"target": t} for t in default_scenario().floor_targets
+]
+
+
+def _renderable(position, aim) -> bool:
+    try:
+        synthesize_frame_reference(SUBJECT, position, **aim, noise=NoiseModel(), intr=_INTR,
+                                   rng=rng())
+    except ValueError:
+        return False
+    return True
+
+
+# Each position is one tuple object that all its aims share, as in a
+# scenario's grid; bearings 0.0 and -0.0 are different poses.
+_POSES = [
+    (position, aim)
+    for position in [(r, b) for r in (1.5, 2.5, 4.0, 5.5) for b in (0.0, -0.0, 12.5, -20.0)]
+    for aim in _AIMS
+    if _renderable(position, aim)
+]
+
+
+def _assert_renders_like_reference(noise, seed, poses):
+    """Render ``poses`` in turn from twin generators, with ``synthesize_frame``
+    and with the reference renderer: the frame and truth bytes and the
+    generator states must agree after every frame."""
+    ours, ref = rng(seed), rng(seed)
+    for k, (position, aim) in enumerate(poses):
+        t = k / 30.0
+        frame, truth = synthesize_frame(SUBJECT, position, **aim, noise=noise, intr=_INTR,
+                                        rng=ours, timestamp=t)
+        want_frame, want_truth = synthesize_frame_reference(
+            SUBJECT, position, **aim, noise=noise, intr=_INTR, rng=ref, timestamp=t,
+        )
+        assert frame_to_line(frame) == frame_to_line(want_frame)
+        assert dumps_line(truth_to_dict(truth, t)) == dumps_line(truth_to_dict(want_truth, t))
+        assert repr(truth.ray) == repr(want_truth.ray)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    noise=st.builds(
+        NoiseModel,
+        sigma0=st.sampled_from([0.0, 0.004, 0.03]),
+        n0=st.floats(1.0, 400.0),  # odd and even counts, and n_min floors far out
+        n_min=st.integers(1, 12),
+        p_drop_max=st.sampled_from([0.0, 0.75, 1.0]),  # dropout from 2.8 m on
+        beta=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+        bbox_jitter_px=st.sampled_from([0.0, 2.0]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    pool=st.lists(st.integers(0, len(_POSES) - 1), min_size=1, max_size=3),
+    order=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+)
+def test_synthesize_frame_matches_the_reference_renderer(noise, seed, pool, order):
+    # poses drawn from a pool of up to three, so that a pose recurs
+    # after others have been rendered
+    poses = [_POSES[pool[i % len(pool)]] for i in order]
+    _assert_renders_like_reference(noise, seed, poses)
+
+
+@pytest.mark.parametrize("aim", [{"direction": (30.0, 0.0)}, {"target": (0.5, 1.0)}],
+                         ids=["direction", "target"])
+def test_signed_zero_bearings_are_different_poses(aim):
+    # A, A, B, A where A and B differ only in the sign of a zero bearing
+    a, b = ((2.0, 0.0), aim), ((2.0, -0.0), aim)
+    _assert_renders_like_reference(NoiseModel(), 5, [a, a, b, a])
+    _, truth = synthesize_frame(SUBJECT, (2.0, -0.0), **aim, noise=NoiseModel(), intr=_INTR,
+                                rng=rng())
+    assert math.copysign(1.0, truth.eye[0]) == -1.0
+
+
+def test_frames_of_a_pose_share_a_read_only_truth(intr):
+    pose, noise, g = (2.5, 10.0), NoiseModel(), rng(4)
+    (_, t1), (_, t2) = (
+        synthesize_frame(SUBJECT, pose, direction=(35.0, 10.0), noise=noise, intr=intr, rng=g)
+        for _ in range(2)
+    )
+    assert t1 is t2
+    for array in (t1.eye, t1.fingertip):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_a_changed_pose_list_is_rendered_anew(intr):
+    position, direction, noise = [2.5, 10.0], [35.0, 10.0], NoiseModel()
+    _, before = synthesize_frame(SUBJECT, position, direction=direction, noise=noise,
+                                 intr=intr, rng=rng())
+    position[1], direction[0] = -10.0, 40.0
+    _, after = synthesize_frame(SUBJECT, position, direction=direction, noise=noise,
+                                intr=intr, rng=rng())
+    _, want = synthesize_frame_reference(SUBJECT, (2.5, -10.0), direction=(40.0, 10.0),
+                                         noise=noise, intr=intr, rng=rng())
+    assert after.eye.tolist() == want.eye.tolist() != before.eye.tolist()
+    assert after.ray == want.ray
 
 
 def test_background_sample_count_exact(intr):
