@@ -15,18 +15,20 @@ reader of stdout closed it before the output ended.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import stat
 import sys
 import time
 from contextlib import ExitStack
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .frames import FRAME_RATE_HZ, dumps_line, frame_to_line, read_frames
-from .geometry import CameraIntrinsics, default_intrinsics
+from .geometry import CameraIntrinsics, default_intrinsics, from_json
 from .pointing import EstimatorParams, estimate_frame, result_to_line
 from .roi import (
     DEFAULT_COBB_RATIO,
@@ -165,15 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(load, path: str, what: str, read: list):
-    """``load(path)``; an unreadable file is a data error, bad content a usage error.
-    The file's ``_file_id`` joins ``read``, the files no output of the run may be."""
+def _load_config(cls, path: str, what: str, read: list):
+    """A ``cls`` from the JSON file at ``path``; an unreadable file is a data error,
+    bad content a usage error. The file's ``_file_id`` joins ``read``, the files no
+    output of the run may be."""
     try:
-        config = load(path)
+        with open(path, "r", encoding="utf-8") as f:
+            config = from_json(cls, json.load(f))
     except OSError as exc:
         raise DataError(f"cannot read {what} file: {exc}") from exc
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
-            RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"bad {what} file {path}: {exc}") from exc
     read.append(_file_id(path))
     return config
@@ -182,16 +185,19 @@ def _load_config(load, path: str, what: str, read: list):
 def _load_intrinsics(path: str | None, read: list) -> CameraIntrinsics:
     if path is None:
         return default_intrinsics()
-    return _load_config(CameraIntrinsics.load, path, "intrinsics", read)
+    return _load_config(CameraIntrinsics, path, "intrinsics", read)
 
 
 def _load_scenario(path: str | None, seed: int | None, read: list) -> Scenario:
     if path is None:
         scenario = default_scenario()
     else:
-        scenario = _load_config(Scenario.load, path, "scenario", read)
+        scenario = _load_config(Scenario, path, "scenario", read)
     if seed is not None:
-        scenario = Scenario.from_dict({**scenario.to_dict(), "seed": seed})
+        try:
+            scenario = replace(scenario, seed=seed)
+        except ValueError as exc:  # its message starts with "seed:"
+            raise UsageError(f"--{exc}") from exc
     return scenario
 
 

@@ -23,15 +23,15 @@ import itertools
 import json
 import math
 import operator
+import reprlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
 from .frames import FACE, FRAME_RATE_HZ, HAND, BoundingBox, DetectionFrame, RoiPointSet
-from .geometry import CameraIntrinsics, project
+from .geometry import CameraIntrinsics, check_fields, finite_number, from_json, project
 from .pointing import EstimatorParams, angular_error_deg, estimate_frame, ray_angles
 from .roi import KeypointStrategy
 
@@ -54,10 +54,6 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Sensor imperfection model; all parameters are per-run constants."""
@@ -72,20 +68,10 @@ class NoiseModel:
     bbox_jitter_px: float = 2.0
 
     def __post_init__(self) -> None:
-        # every check is written as what must hold, so that NaN fails it
-        if not (0.0 <= self.sigma0 < math.inf and 0.0 < self.n0 < math.inf
-                and _is_int(self.n_min) and self.n_min >= 1):
-            raise ValueError("finite sigma0 >= 0 and n0 > 0 and an integer n_min >= 1 required, "
-                             f"got {self.sigma0}, {self.n0} and {self.n_min!r}")
-        if not 0.0 <= self.p_drop_max <= 1.0:
-            raise ValueError(f"p_drop_max must lie in [0, 1], got {self.p_drop_max}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if not 0.0 <= self.bbox_jitter_px < math.inf:
-            raise ValueError(f"bbox_jitter_px must be finite and >= 0, got {self.bbox_jitter_px}")
-        if not -math.inf < self.dropout_start_m < self.dropout_end_m < math.inf:
-            raise ValueError("dropout_start_m and dropout_end_m must be finite and the end must "
-                             f"exceed the start, got {self.dropout_start_m}, {self.dropout_end_m}")
+        check_fields(self, sigma0="[0, inf)", n0="(0, inf)", n_min="[1, inf)",
+                     p_drop_max="[0, 1]", dropout_start_m="(-inf, inf)",
+                     dropout_end_m="(dropout_start_m, inf)", beta="[0, 1]",
+                     bbox_jitter_px="[0, inf)")
 
     def sigma(self, z: float) -> float:
         return self.sigma0 * z * z
@@ -119,14 +105,8 @@ class SubjectModel:
     arm_length: float = 0.60
 
     def __post_init__(self) -> None:
-        # written as what must hold, so that NaN fails it, and bounded, so
-        # that infinity does
-        if not 0.0 < self.eye_height <= self.height < math.inf:
-            raise ValueError("need 0 < eye_height <= height with a finite height, got "
-                             f"{self.eye_height} and {self.height}")
-        if not 0.0 < self.shoulder_drop < self.arm_length < math.inf:
-            raise ValueError("need 0 < shoulder_drop < arm_length with a finite arm_length, "
-                             f"got {self.shoulder_drop} and {self.arm_length}")
+        check_fields(self, height="(0, inf)", eye_height="(0, height]", arm_length="(0, inf)",
+                     shoulder_drop="(0, arm_length)")
 
     def reach_along(self, ray_unit: np.ndarray) -> float:
         uz = float(ray_unit[2])
@@ -135,12 +115,12 @@ class SubjectModel:
         return -b + math.sqrt(disc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Grid of subject poses and pointing tasks driving the experiments."""
 
     subject: SubjectModel = field(default_factory=SubjectModel)
-    positions: tuple[tuple[float, float], ...] = ()  # (range_m, bearing_deg)
+    positions: tuple[tuple[float, float], ...]  # (range_m, bearing_deg)
     directions: tuple[tuple[float, float], ...] = ()  # (pitch_deg, yaw_deg)
     floor_targets: tuple[tuple[float, float], ...] = ()  # world (x, y)
     frames_per_pose: int = 60
@@ -148,28 +128,20 @@ class Scenario:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self) -> None:
+        check_fields(self, frames_per_pose="[1, inf)", seed="[0, inf)")
         for name in ("positions", "directions", "floor_targets"):
-            object.__setattr__(self, name, tuple(tuple(p) for p in getattr(self, name)))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            subject=SubjectModel(**data.get("subject", {})),
-            positions=data.get("positions", ()),
-            directions=data.get("directions", ()),
-            floor_targets=data.get("floor_targets", ()),
-            frames_per_pose=data.get("frames_per_pose", 60),
-            seed=data.get("seed", 42),
-            noise=NoiseModel(**data.get("noise", {})),
-        )
+            pairs = getattr(self, name)
+            if not isinstance(pairs, (list, tuple)):
+                raise ValueError(f"{name}: must be a list of pairs, got {reprlib.repr(pairs)}")
+            for i, p in enumerate(pairs):
+                if not (isinstance(p, (list, tuple)) and len(p) == 2
+                        and None not in map(finite_number, p)):
+                    raise ValueError(f"{name}[{i}]: must be a pair of finite numbers, "
+                                     f"got {reprlib.repr(p)}")
+            object.__setattr__(self, name, tuple(map(tuple, pairs)))
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
 
     def noiseless(self) -> "Scenario":
         return replace(self, noise=NoiseModel.noiseless())
@@ -177,8 +149,8 @@ class Scenario:
 
 def default_scenario() -> Scenario:
     """Bundled 25-position x 4-direction grid with 3 floor targets."""
-    text = resources.files("pointray").joinpath("data/scenario_default.json").read_text("utf-8")
-    return Scenario.from_dict(json.loads(text))
+    text = resources.files(__package__).joinpath("data/scenario_default.json").read_text("utf-8")
+    return from_json(Scenario, json.loads(text))
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,30 +385,11 @@ def _aims(scenario: Scenario, use_targets: bool) -> list[dict]:
     return [{"direction": d} for d in scenario.directions]
 
 
-def _is_number_pair(p: tuple) -> bool:
-    return len(p) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in p
-    )
-
-
 def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
-    """Check field sanity and renderability; returns offending-field messages."""
-    errors = [
-        f"{name}[{i}]: must be a pair of finite numbers, got {list(p)}"
-        for name in ("positions", "directions", "floor_targets")
-        for i, p in enumerate(getattr(scenario, name))
-        if not _is_number_pair(p)
-    ] + [
-        f"{name}: must be an integer, got {getattr(scenario, name)!r}"
-        for name in ("seed", "frames_per_pose")
-        if not _is_int(getattr(scenario, name))
-    ]
-    if errors:  # the checks below need numbers
-        return errors
-    if scenario.seed < 0:
-        errors.append(f"seed: must be >= 0, got {scenario.seed}")
-    if scenario.frames_per_pose < 1:
-        errors.append(f"frames_per_pose: must be >= 1, got {scenario.frames_per_pose}")
+    """Check what the fields alone cannot show: that there is a pose and an
+    aim, and that each pose is in front of the camera, inside its field of
+    view and renderable. Returns offending-field messages."""
+    errors = []
     if not scenario.positions:
         errors.append("positions: at least one pose is required")
     if not scenario.directions and not scenario.floor_targets:

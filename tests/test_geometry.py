@@ -76,11 +76,11 @@ def test_project_behind_camera(intr):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"fx": 0.0}, "fx must be finite and positive"),
-        ({"fy": -5.0}, "fy must be finite and positive"),
-        ({"cx": 640.0}, r"cx=640.0 outside \[0, 640\)"),
-        ({"cy": -1.0}, r"cy=-1.0 outside \[0, 480\)"),
-        ({"camera_height": 0.0}, "camera_height must be finite and positive"),
+        ({"fx": 0.0}, r"fx: must be a number in \(0, inf\), got 0.0"),
+        ({"fy": -5.0}, r"fy: must be a number in \(0, inf\), got -5.0"),
+        ({"cx": 640.0}, r"cx: must be a number in \[0, width\), got 640.0"),
+        ({"cy": -1.0}, r"cy: must be a number in \[0, height\), got -1.0"),
+        ({"camera_height": 0.0}, r"camera_height: must be a number in \(0, inf\), got 0.0"),
     ],
 )
 def test_intrinsics_invariants(kwargs, message):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from oracles import (
     experiment_a_reference, experiment_b_reference, ray_plane_oracle, synthesize_frame_reference,
 )
 from pointray.frames import RoiPointSet, dumps_line, frame_to_line
-from pointray.geometry import default_intrinsics
+from pointray.geometry import default_intrinsics, from_json
 from pointray.pointing import EstimatorParams, angular_error_deg, estimate_frame
 from pointray.roi import KeypointStrategy
 from pointray.simulate import (
@@ -80,6 +81,9 @@ def test_subject_model_validation():
         SubjectModel(eye_height=2.0, height=1.8)
     with pytest.raises(ValueError):
         SubjectModel(shoulder_drop=0.7, arm_length=0.6)
+    with pytest.raises(ValueError, match="shoulder_drop"):  # the end of (0, arm_length) is open
+        SubjectModel(shoulder_drop=0.6, arm_length=0.6)
+    assert SubjectModel(eye_height=1.8, height=1.8).eye_height == 1.8  # (0, height] is closed
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -310,11 +314,10 @@ def test_scenario_rejects_out_of_view_pose(intr):
 
 
 def test_scenario_rejects_bad_fields(intr):
-    sc = dataclasses.replace(default_scenario(), positions=((-1.0, 0.0),),
-                             frames_per_pose=0)
-    errors = validate_scenario(sc, intr)
-    joined = "\n".join(errors)
-    assert "frames_per_pose" in joined and "range" in joined
+    with pytest.raises(ValueError, match=r"frames_per_pose: must be an integer in \[1, inf\)"):
+        dataclasses.replace(default_scenario(), frames_per_pose=0)
+    sc = dataclasses.replace(default_scenario(), positions=((-1.0, 0.0),))
+    assert validate_scenario(sc, intr) == ["positions[0]: range must be positive, got -1.0"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -326,30 +329,31 @@ def test_scenario_rejects_bad_fields(intr):
     ("floor_targets", ((0.0, 1.0, 2.0),)),
     ("floor_targets", ((0.0, math.inf),)),
 ], ids=["string", "single", "nan", "bool", "direction", "triple", "inf-target"])
-def test_scenario_rejects_aims_that_are_not_number_pairs(field, value, intr):
-    sc = dataclasses.replace(default_scenario(), **{field: value})
-    errors = validate_scenario(sc, intr)
-    assert errors == [f"{field}[0]: must be a pair of finite numbers, got {list(value[0])}"]
+def test_scenario_rejects_aims_that_are_not_number_pairs(field, value):
+    message = f"{field}[0]: must be a pair of finite numbers, got {value[0]!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(default_scenario(), **{field: value})
 
 
-def test_scenario_rejects_negative_seed(intr):
-    sc = dataclasses.replace(default_scenario(), seed=-1)
-    assert validate_scenario(sc, intr) == ["seed: must be >= 0, got -1"]
+def test_scenario_rejects_negative_seed():
+    with pytest.raises(ValueError, match=re.escape("seed: must be an integer in [0, inf), got -1")):
+        dataclasses.replace(default_scenario(), seed=-1)
 
 
 @pytest.mark.parametrize("value", [2.7, 1.9, True, "60"])
 @pytest.mark.parametrize("name", ["frames_per_pose", "seed"])
-def test_scenario_rejects_counts_that_are_not_integers(name, value, intr):
-    sc = Scenario.from_dict(dict(default_scenario().to_dict(), **{name: value}))
-    assert getattr(sc, name) == value  # not truncated on the way in
-    assert validate_scenario(sc, intr) == [f"{name}: must be an integer, got {value!r}"]
+def test_scenario_rejects_counts_that_are_not_integers(name, value):
+    low = {"frames_per_pose": 1, "seed": 0}[name]
+    message = f"{name}: must be an integer in [{low}, inf), got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(Scenario, dict(default_scenario().to_dict(), **{name: value}))
 
 
 def test_scenario_json_round_trip(tmp_path):
     sc = default_scenario()
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(sc.to_dict()))
-    back = Scenario.load(path)
+    back = from_json(Scenario, json.loads(path.read_text()))
     assert back == sc
 
 
