@@ -30,12 +30,7 @@ from . import __version__
 from .frames import FRAME_RATE_HZ, dumps_line, frame_to_line, read_frames
 from .geometry import CameraIntrinsics, default_intrinsics, from_json
 from .pointing import EstimatorParams, estimate_frame, result_to_line
-from .roi import (
-    DEFAULT_COBB_RATIO,
-    DEFAULT_DBSCAN_EPS,
-    DEFAULT_DBSCAN_MIN_PTS,
-    KeypointStrategy,
-)
+from .roi import KeypointStrategy
 from .reports import (
     angle_cells_heatmap,
     angle_cells_to_csv,
@@ -96,11 +91,11 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
         choices=[s.value for s in KeypointStrategy],
         help="keypoint depth statistic (default: mean)",
     )
-    p.add_argument("--cobb-ratio", type=float, default=DEFAULT_COBB_RATIO,
+    p.add_argument("--cobb-ratio", type=float, default=EstimatorParams.cobb_ratio,
                    help="center-circle radius as a fraction of min(w, h) (default: %(default)s)")
-    p.add_argument("--eps", type=float, default=DEFAULT_DBSCAN_EPS,
+    p.add_argument("--eps", type=float, default=EstimatorParams.dbscan_eps,
                    help="DBSCAN depth radius in meters (default: %(default)s)")
-    p.add_argument("--min-pts", type=int, default=DEFAULT_DBSCAN_MIN_PTS,
+    p.add_argument("--min-pts", type=int, default=EstimatorParams.dbscan_min_pts,
                    help="DBSCAN minimum neighbors incl. self (default: %(default)s)")
     p.add_argument("--intrinsics", default=None,
                    help="intrinsics JSON file (default: bundled 640x480 68-deg sensor)")
@@ -425,7 +420,7 @@ def cmd_bench(args) -> int:
     strategy = KeypointStrategy.from_name(args.strategy)
     subject = SubjectModel()
     pose = (2.0, 0.0)
-    per_roi = max(args.samples // 2, 1)
+    per_roi = args.samples // 2
     noise = NoiseModel(
         n0=per_roi * pose[0] ** 2, n_min=1, beta=0.0, p_drop_max=0.0,
         sigma0=0.004, bbox_jitter_px=1.0,
@@ -470,7 +465,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag, least in (("frames", 1), ("jobs", 1), ("seed", 0)):
+        for flag, least in (("frames", 1), ("jobs", 1), ("seed", 0), ("samples", 2)):
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise UsageError(f"--{flag} must be at least {least}, got {value}")

@@ -106,51 +106,38 @@ class BoundingBox:
         return (u >= self.u_min) & (u <= self.u_max) & (v >= self.v_min) & (v <= self.v_max)
 
 
-def _sample_rows(samples, bbox: BoundingBox) -> tuple[np.ndarray, np.ndarray]:
-    """``samples`` as (n, 3) floats, (0, 3) when empty, and the mask of the
-    rows an ROI may hold: z > 0 and (u, v) inside ``bbox``."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        arr = arr.reshape(0, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise FrameFormatError(f"samples must be [[u, v, z], ...], got shape {arr.shape}")
-    return arr, (arr[:, 2] > 0) & bbox.inside(arr[:, 0], arr[:, 1])
-
-
 @dataclass(frozen=True, eq=False)
 class RoiPointSet:
     """Depth samples belonging to one detected region of interest.
 
-    ``samples`` is an (n, 3) float array with columns u, v, z. All samples
-    lie inside ``source_bbox`` and have positive depth; a raw detection may
-    legitimately carry zero samples (the sensor returned nothing). Only the
-    constructor checks this; sets of rows known to pass skip the check.
+    ``samples`` is an (n, 3) float array with columns u, v, z. Building an
+    ROI keeps the rows with z > 0 that lie inside ``source_bbox`` and drops
+    the rest (a NaN in any column drops its row); any other shape raises
+    ``FrameFormatError``. A raw detection may legitimately carry zero
+    samples (the sensor returned nothing).
     """
 
     samples: np.ndarray
     source_bbox: BoundingBox
 
     def __post_init__(self) -> None:
-        arr, valid = _sample_rows(self.samples, self.source_bbox)
-        if not valid.all():
-            raise FrameFormatError("depth samples must have z > 0 and lie inside their bbox")
-        object.__setattr__(self, "samples", np.ascontiguousarray(arr))
+        arr = np.asarray(self.samples, dtype=float)
+        if arr.size == 0:
+            arr = arr.reshape(0, 3)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise FrameFormatError(f"samples must be [[u, v, z], ...], got shape {arr.shape}")
+        keep = (arr[:, 2] > 0) & self.source_bbox.inside(arr[:, 0], arr[:, 1])
+        object.__setattr__(self, "samples", np.ascontiguousarray(arr[keep]))
         self.samples.setflags(write=False)
 
     @classmethod
     def _unchecked(cls, samples: np.ndarray, bbox: BoundingBox) -> "RoiPointSet":
-        """An ROI over (n, 3) float rows that pass the constructor's check."""
+        """An ROI over (n, 3) float rows that the constructor would keep whole."""
         roi = object.__new__(cls)  # skips __init__ and so __post_init__
         object.__setattr__(roi, "samples", np.ascontiguousarray(samples))
         object.__setattr__(roi, "source_bbox", bbox)
         roi.samples.setflags(write=False)
         return roi
-
-    @classmethod
-    def _valid_part(cls, samples, bbox: BoundingBox) -> "RoiPointSet":
-        """An ROI over the rows of ``samples`` that pass the constructor's check."""
-        arr, valid = _sample_rows(samples, bbox)
-        return cls._unchecked(arr[valid], bbox)
 
     @property
     def label(self) -> str:
@@ -173,7 +160,7 @@ class RoiPointSet:
 
     def with_bbox(self, bbox: BoundingBox) -> "RoiPointSet":
         """Rebind to a new bbox, dropping samples that fall outside it."""
-        return RoiPointSet._valid_part(self.samples, bbox)
+        return RoiPointSet._unchecked(self.samples[bbox.inside(self.u, self.v)], bbox)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +248,7 @@ def _roi_from_dict(obj: dict, label: str, no_strings: bool) -> RoiPointSet:
         raise FrameFormatError(f"bbox must be [u0, v0, u1, v1], got {bbox_vals!r}")
     coords = [_number(c, "bbox coordinate") for c in bbox_vals]
     bbox = BoundingBox(*coords, label=label, confidence=_number(conf, "conf"))
-    return RoiPointSet._valid_part(_sample_array(raw, no_strings), bbox)
+    return RoiPointSet(_sample_array(raw, no_strings), bbox)
 
 
 def _nesting_depth(line: str) -> tuple[int, int | None]:
@@ -388,31 +375,23 @@ def dumps_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), default=np.ndarray.tolist)
 
 
-def _roi_to_dict(roi: RoiPointSet, samples: Callable[[np.ndarray], object]) -> dict:
+def _roi_to_dict(roi: RoiPointSet) -> dict:
     bb = roi.source_bbox
     return {
         # a tracker's smoothed corners are np.float64, which orjson does not write
         "bbox": [float(bb.u_min), float(bb.v_min), float(bb.u_max), float(bb.v_max)],
         "conf": float(bb.confidence),
-        "samples": samples(roi.samples),
+        # the array goes in whole, so that dumps_line checks it in one pass
+        "samples": roi.samples,
     }
-
-
-def _frame_record(frame: DetectionFrame, samples: Callable[[np.ndarray], object]) -> dict:
-    return {
-        "t": frame.timestamp,
-        "face": None if frame.face is None else _roi_to_dict(frame.face, samples),
-        "hands": [_roi_to_dict(h, samples) for h in frame.hands],
-    }
-
-
-def frame_to_dict(frame: DetectionFrame) -> dict:
-    return _frame_record(frame, np.ndarray.tolist)
 
 
 def frame_to_line(frame: DetectionFrame) -> str:
-    # the sample arrays go in whole, so that dumps_line checks each in one pass
-    return dumps_line(_frame_record(frame, np.asarray))
+    return dumps_line({
+        "t": frame.timestamp,
+        "face": None if frame.face is None else _roi_to_dict(frame.face),
+        "hands": [_roi_to_dict(h) for h in frame.hands],
+    })
 
 
 def read_frames(

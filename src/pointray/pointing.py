@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .frames import DetectionFrame, RoiPointSet, dumps_line
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, check_fields
 from .roi import (
     DEFAULT_COBB_RATIO,
     DEFAULT_DBSCAN_EPS,
@@ -44,12 +44,7 @@ class EstimatorParams:
     dbscan_min_pts: int = DEFAULT_DBSCAN_MIN_PTS
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.cobb_ratio <= 0.5:
-            raise ValueError(f"cobb_ratio must lie in (0, 0.5], got {self.cobb_ratio}")
-        if not self.dbscan_eps > 0:
-            raise ValueError(f"dbscan_eps must be positive, got {self.dbscan_eps}")
-        if self.dbscan_min_pts < 1:
-            raise ValueError(f"dbscan_min_pts must be >= 1, got {self.dbscan_min_pts}")
+        check_fields(self, cobb_ratio="(0, 0.5]", dbscan_eps="(0, inf)", dbscan_min_pts="[1, inf)")
 
 
 @dataclass(frozen=True, eq=False)

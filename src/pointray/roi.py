@@ -73,10 +73,9 @@ class DepthCluster:
 def cobb_filter(roi: RoiPointSet, ratio: float = DEFAULT_COBB_RATIO) -> RoiPointSet:
     """Keep samples within ``ratio * min(w, h)`` pixels of the bbox center.
 
-    Raises :class:`NoEstimate` (``empty_roi``) when nothing survives.
+    ``ratio`` lies in (0, 0.5], as ``EstimatorParams`` checks it. Raises
+    :class:`NoEstimate` (``empty_roi``) when nothing survives.
     """
-    if not 0.0 < ratio <= 0.5:
-        raise ValueError(f"ratio must lie in (0, 0.5], got {ratio}")
     bbox = roi.source_bbox
     radius = ratio * min(bbox.width, bbox.height)
     cu, cv = bbox.center
@@ -105,12 +104,9 @@ def dbscan_depth(
 
     Returns ``(clusters, noise_indices)``; clusters are ordered by their
     lowest core depth and each lists its member indices in ascending input
-    order.
+    order. ``eps`` is positive and ``min_pts`` at least 1, as
+    ``EstimatorParams`` checks them.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if min_pts < 1:
-        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     depths = np.asarray(depths, dtype=float).ravel()
     n = depths.size
     if n == 0:

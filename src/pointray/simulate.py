@@ -351,7 +351,7 @@ def _synthesize_roi(
         rows[n:, 2] = wall_z + rng.standard_normal(n_bg) * noise.sigma(wall_z)
         np.greater_equal(rng.random(n_bg), noise.p_drop(wall_z), out=kept[n:])
     # foreground samples may fall outside a small jittered box
-    return RoiPointSet._valid_part(rows[kept], bbox)
+    return RoiPointSet(rows[kept], bbox)
 
 
 def synthesize_frame(

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import FRAME_RATE_HZ, BoundingBox, DetectionFrame
+from .geometry import check_fields
 from .pointing import FrameResult
 
 GATE_MODE_GOAL = "goal"
@@ -46,12 +47,8 @@ class TrackerParams:
     image_width: int = 640
 
     def __post_init__(self) -> None:
-        if not 0 < self.sigma_meas < math.inf:
-            raise ValueError(f"sigma_meas must be finite and positive, got {self.sigma_meas}")
-        if not 0 <= self.sigma_accel < math.inf:
-            raise ValueError(f"sigma_accel must be finite and >= 0, got {self.sigma_accel}")
-        if self.miss_limit < 0:
-            raise ValueError(f"miss_limit must be >= 0, got {self.miss_limit}")
+        check_fields(self, sigma_accel="[0, inf)", sigma_meas="(0, inf)", miss_limit="[0, inf)",
+                     image_width="[1, inf)")
 
 
 def association_gate_px(params: TrackerParams, dt: float) -> float:
@@ -228,14 +225,11 @@ class GateParams:
     tau_angle: float = 4.0  # deg^2, trace over (pitch, yaw) in direction mode
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not (self.tau > 0 and self.tau_angle > 0):
-            raise ValueError("covariance thresholds must be positive")
-        if not self.max_age_s > 0:
-            raise ValueError(f"max_age_s must be positive, got {self.max_age_s}")
+        # a window of at least 2, as a sample covariance needs two goals
+        check_fields(self, window="[2, inf)", tau="(0, inf)", tau_angle="(0, inf)",
+                     max_age_s="(0, inf)")
         if self.mode not in (GATE_MODE_GOAL, GATE_MODE_DIRECTION):
-            raise ValueError(f"mode must be 'goal' or 'direction', got {self.mode!r}")
+            raise ValueError(f"mode: must be 'goal' or 'direction', got {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -264,7 +264,7 @@ def _synthesize_roi_reference(center_world, phys_size, label, wall_z, noise, int
     us = np.concatenate([us[keep], ub[keep_bg]])
     vs = np.concatenate([vs[keep], vb[keep_bg]])
     zs = np.concatenate([zs[keep], zb[keep_bg]])
-    return RoiPointSet._valid_part(np.column_stack([us, vs, zs]), bbox)
+    return RoiPointSet(np.column_stack([us, vs, zs]), bbox)
 
 
 def synthesize_frame_reference(subject, position, *, direction=None, target=None, noise,

@@ -222,22 +222,33 @@ def test_estimate_bad_config_value(noiseless_log, capsys):
     assert main(["estimate", "-i", noiseless_log, "--cobb-ratio", "0.9"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("flags", [
-    ["--strategy", "dbscan", "--eps", "nan"],
-    ["--gate", "--gate-tau", "nan"],
-    ["--gate", "--gate-mode", "direction", "--gate-tau-angle", "nan"],
-    ["--gate", "--gate-max-age", "nan"],
-    ["--track", "--track-sigma-meas", "nan"],
-    ["--track", "--track-sigma-meas", "inf"],
-    ["--track", "--track-sigma-accel", "nan"],
-    ["--track", "--track-sigma-accel", "inf"],
-    ["--track", "--track-sigma-meas", "0", "--track-sigma-accel", "0"],
-    ["--track", "--track-miss-limit", "-1"],
+@pytest.mark.parametrize("flags, field", [
+    (["--strategy", "dbscan", "--eps", "nan"], "dbscan_eps"),
+    (["--strategy", "dbscan", "--eps", "inf"], "dbscan_eps"),
+    (["--cobb-ratio", "nan"], "cobb_ratio"),
+    (["--strategy", "dbscan", "--min-pts", "0"], "dbscan_min_pts"),
+    (["--gate", "--gate-tau", "nan"], "tau"),
+    (["--gate", "--gate-tau", "inf"], "tau"),
+    (["--gate", "--gate-mode", "direction", "--gate-tau-angle", "nan"], "tau_angle"),
+    (["--gate", "--gate-mode", "direction", "--gate-tau-angle", "inf"], "tau_angle"),
+    (["--gate", "--gate-max-age", "nan"], "max_age_s"),
+    (["--gate", "--gate-max-age", "inf"], "max_age_s"),
+    (["--gate", "--gate-window", "0"], "window"),
+    (["--gate", "--gate-window", "1"], "window"),
+    (["--gate", "--gate-mode", "direction", "--gate-window", "1"], "window"),
+    (["--track", "--track-sigma-meas", "nan"], "sigma_meas"),
+    (["--track", "--track-sigma-meas", "inf"], "sigma_meas"),
+    (["--track", "--track-sigma-accel", "nan"], "sigma_accel"),
+    (["--track", "--track-sigma-accel", "inf"], "sigma_accel"),
+    (["--track", "--track-sigma-meas", "0", "--track-sigma-accel", "0"], "sigma_meas"),
+    (["--track", "--track-miss-limit", "-1"], "miss_limit"),
 ])
-def test_estimate_rejects_nan_and_out_of_range_settings(flags, noiseless_log, tmp_path, capsys):
+def test_estimate_rejects_nan_and_out_of_range_settings(flags, field, noiseless_log, tmp_path,
+                                                        capsys):
     out = tmp_path / "out.jsonl"
     assert main(["estimate", "-i", noiseless_log, "-o", str(out), *flags]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("error:") == 1
     assert not out.exists()
 
 
@@ -363,6 +374,7 @@ def test_simulate_invalid_scenario_lists_fields(tmp_path, capsys):
     ["experiment-a", "--scenario", "{scenario}", "--outdir", "{out}", "--seed", "-1"],
     ["experiment-b", "--scenario", "{scenario}", "--outdir", "{out}", "--seed", "-1"],
     ["bench", "--frames", "1", "--seed", "-1"],
+    ["bench", "--frames", "1", "--samples", "1"],
     ["experiment-a", "--scenario", "{scenario}", "--outdir", "{out}", "--jobs", "0"],
     ["experiment-b", "--scenario", "{scenario}", "--outdir", "{out}", "--jobs", "-2"],
     ["simulate", "--scenario", "{tmp}/seed.json", "-o", "{out}"],
@@ -372,8 +384,9 @@ def test_simulate_invalid_scenario_lists_fields(tmp_path, capsys):
     ["simulate", "--scenario", "{tmp}/target.json", "-o", "{out}", "--aim", "targets"],
     ["experiment-a", "--scenario", "{tmp}/word.json", "--outdir", "{out}"],
 ], ids=["simulate-seed", "experiment-a-seed", "experiment-b-seed", "bench-seed",
-        "experiment-a-jobs", "experiment-b-jobs", "scenario-seed", "position-word",
-        "position-single", "direction-word", "target-word", "experiment-a-position"])
+        "bench-samples", "experiment-a-jobs", "experiment-b-jobs", "scenario-seed",
+        "position-word", "position-single", "direction-word", "target-word",
+        "experiment-a-position"])
 def test_bad_seeds_jobs_and_aims_are_usage_errors(argv, scenario_file, tmp_path, capsys):
     base = small_scenario().to_dict()
     for name, change in [("seed", {"seed": -1}), ("word", {"positions": [["a", 0]]}),
@@ -610,6 +623,15 @@ def test_bench_runs_small(capsys):
     assert main(["bench", "--frames", "20", "--samples", "500"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "p99" in out and "frames/sec" in out
+
+
+def test_bench_samples_below_two_is_usage_error(capsys):
+    for samples in ("0", "-5"):  # 1 is a case of test_bad_seeds_jobs_and_aims_are_usage_errors
+        assert main(["bench", "--frames", "1", "--samples", samples]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --samples must be at least 2, got {samples}\n"
+    assert main(["bench", "--frames", "1", "--samples", "2"]) == EXIT_OK
 
 
 def test_bench_empty_frames(capsys):

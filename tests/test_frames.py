@@ -17,7 +17,6 @@ from pointray.frames import (
     FrameFormatError,
     RoiPointSet,
     dumps_line,
-    frame_to_dict,
     frame_to_line,
     parse_frame,
     read_frames,
@@ -103,10 +102,12 @@ def test_bbox_invariants():
 
 def test_roi_sample_validation():
     bb = BoundingBox(0, 0, 10, 10, label="hand")
-    with pytest.raises(FrameFormatError):
-        RoiPointSet(np.array([[5.0, 5.0, -0.1]]), bb)
-    with pytest.raises(FrameFormatError):
-        RoiPointSet(np.array([[15.0, 5.0, 1.0]]), bb)
+    good = [[5.0, 5.0, 1.0], [0.0, 10.0, 0.5]]  # the box's edges are inside
+    bad = [[5.0, 5.0, -0.1], [5.0, 5.0, 0.0], [15.0, 5.0, 1.0], [5.0, -1.0, 1.0],
+           [math.nan, 5.0, 1.0], [5.0, 5.0, math.nan]]
+    roi = RoiPointSet(np.array([bad[0], good[0], *bad[1:], good[1]]), bb)
+    assert roi.samples.tolist() == good
+    assert len(RoiPointSet(np.array(bad), bb)) == 0
     with pytest.raises(FrameFormatError):
         RoiPointSet(np.array([[5.0, 5.0]]), bb)
     empty = RoiPointSet(np.empty((0, 3)), bb)
@@ -164,10 +165,11 @@ def test_parse_frame_round_trips_frame_to_line(t, face, hands):
 
 
 # ---------------------------------------------------------------------------
-# Sets built without the constructor's check
+# Sets the constructor would keep whole
 # ---------------------------------------------------------------------------
-# Parsing, with_bbox, cobb_filter and the simulator mask samples
-# themselves and skip the check; whatever they build must pass it.
+# Parsing and the simulator build sets through the constructor, which drops
+# the rows it must; with_bbox and cobb_filter subset rows that passed it and
+# skip it. Rebuilding any of these sets must keep every row.
 
 def assert_passes_check(roi):
     again = RoiPointSet(roi.samples, roi.source_bbox)
@@ -548,6 +550,13 @@ def orjson_calls(monkeypatch):
     return calls
 
 
+def _stdlib_frame_line(frame):
+    """``frame_to_line(frame)`` as the stdlib alone writes it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frames, "orjson", None)
+        return frame_to_line(frame)
+
+
 def test_frame_to_line_writes_a_simulated_frame_through_orjson(orjson_calls):
     frame, _ = synthesize_frame(SubjectModel(), (2.0, 0.0), direction=(35.0, 10.0),
                                 noise=NoiseModel(), intr=default_intrinsics(),
@@ -560,7 +569,7 @@ def test_frame_to_line_writes_a_simulated_frame_through_orjson(orjson_calls):
     assert type(tracked.face.source_bbox.u_min) is np.float64
     assert len(tracked.face) == len(frame.face)
     line = frame_to_line(tracked)
-    assert line == json.dumps(frame_to_dict(tracked), separators=(",", ":"))
+    assert line == _stdlib_frame_line(tracked)
     assert line == frame_to_line(frame)
     assert len(orjson_calls) == 2
 
@@ -568,7 +577,7 @@ def test_frame_to_line_writes_a_simulated_frame_through_orjson(orjson_calls):
 def test_frame_to_line_writes_a_tiny_depth_with_the_stdlib(orjson_calls):
     frame = DetectionFrame(0.5, make_roi("face", samples=((150, 140, 5e-05),)), ())
     line = frame_to_line(frame)
-    assert line == json.dumps(frame_to_dict(frame), separators=(",", ":"))
+    assert line == _stdlib_frame_line(frame)
     assert "[150.0,140.0,5e-05]" in line  # orjson writes 0.00005
     assert orjson_calls == []
 

@@ -350,12 +350,16 @@ def test_estimate_frame_never_raises(face, hands, copy_face, intr):
 
 
 def test_estimator_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cobb_ratio: "):
         EstimatorParams(cobb_ratio=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dbscan_eps: "):
         EstimatorParams(dbscan_eps=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dbscan_min_pts: "):
         EstimatorParams(dbscan_min_pts=0)
+    with pytest.raises(ValueError, match=r"^dbscan_eps: "):
+        EstimatorParams(dbscan_eps=math.inf)
+    with pytest.raises(ValueError, match=r"^dbscan_min_pts: "):
+        EstimatorParams(dbscan_min_pts=2.5)
 
 
 _components = st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6)

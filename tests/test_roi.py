@@ -6,6 +6,7 @@ import pytest
 from oracles import dbscan_reference, dbscan_reference_members
 from pointray.frames import BoundingBox, RoiPointSet
 from pointray.geometry import deproject
+from pointray.pointing import EstimatorParams
 from pointray.roi import (
     DepthCluster,
     KeypointStrategy,
@@ -83,11 +84,11 @@ def test_cobb_subset_and_permutation_invariance():
 
 
 def test_cobb_ratio_bounds():
-    roi = roi_from([[50, 30, 1.0]])
-    with pytest.raises(ValueError):
-        cobb_filter(roi, ratio=0.0)
-    with pytest.raises(ValueError):
-        cobb_filter(roi, ratio=0.6)
+    # the ratio is checked where it enters, as an EstimatorParams field
+    with pytest.raises(ValueError, match=r"^cobb_ratio: "):
+        EstimatorParams(cobb_ratio=0.0)
+    with pytest.raises(ValueError, match=r"^cobb_ratio: "):
+        EstimatorParams(cobb_ratio=0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +124,11 @@ def test_dbscan_empty_input():
 
 
 def test_dbscan_parameter_validation():
-    with pytest.raises(ValueError):
-        dbscan_depth([1.0], eps=0.0, min_pts=2)
-    with pytest.raises(ValueError):
-        dbscan_depth([1.0], eps=0.1, min_pts=0)
+    # eps and min_pts are checked where they enter, as EstimatorParams fields
+    with pytest.raises(ValueError, match=r"^dbscan_eps: "):
+        EstimatorParams(dbscan_eps=0.0)
+    with pytest.raises(ValueError, match=r"^dbscan_min_pts: "):
+        EstimatorParams(dbscan_min_pts=0)
 
 
 def test_dbscan_border_point_takes_first_core_in_input_order():

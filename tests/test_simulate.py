@@ -273,8 +273,9 @@ def test_noiseless_recovery_all_strategies(intr):
 
 
 def test_samples_respect_frame_invariants(intr):
-    # the simulator builds its ROIs without the constructor's check, so
-    # rebuild them through it; a spread of poses exercises the jittered paths
+    # rebuilding an ROI drops the rows with z <= 0 or outside the box and
+    # must keep every row the simulator wrote; a spread of poses exercises
+    # the jittered paths
     sc = default_scenario()
     g = rng(5)
     for pos in sc.positions[::4]:
@@ -282,7 +283,13 @@ def test_samples_respect_frame_invariants(intr):
                                     noise=sc.noise, intr=intr, rng=g)
         for roi_set in (frame.face, *frame.hands):
             assert (roi_set.z > 0).all()
-            RoiPointSet(roi_set.samples, roi_set.source_bbox)
+            again = RoiPointSet(roi_set.samples, roi_set.source_bbox)
+            assert np.array_equal(again.samples, roi_set.samples)
+    bb = frame.face.source_bbox
+    outside = [bb.u_max + 1.0, bb.v_min, 1.0]
+    behind = [bb.u_min, bb.v_max, -1.0]
+    rows = np.vstack([outside, frame.face.samples, behind])
+    assert np.array_equal(RoiPointSet(rows, bb).samples, frame.face.samples)
 
 
 def test_direction_or_target_exclusive(intr):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,12 +373,30 @@ def test_gate_commits_invariant_to_full_yaw_turns(base, spread, jitter, turns):
 
 
 def test_gate_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^window: "):
         GateParams(window=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^window: "):
+        GateParams(window=1)  # a sample covariance needs two goals
+    with pytest.raises(ValueError, match=r"^tau: "):
         GateParams(tau=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tau_angle: "):
+        GateParams(tau_angle=math.inf)
+    with pytest.raises(ValueError, match=r"^max_age_s: "):
+        GateParams(max_age_s=math.nan)
+    with pytest.raises(ValueError, match=r"^mode: "):
         GateParams(mode="sideways")
+
+
+def test_tracker_params_validation():
+    with pytest.raises(ValueError, match=r"^sigma_accel: "):
+        TrackerParams(sigma_accel=-1.0)
+    with pytest.raises(ValueError, match=r"^sigma_meas: "):
+        TrackerParams(sigma_meas=0.0)
+    with pytest.raises(ValueError, match=r"^miss_limit: "):
+        TrackerParams(miss_limit=-1)
+    with pytest.raises(ValueError, match=r"^image_width: "):
+        TrackerParams(image_width=0)
+    assert TrackerParams(sigma_accel=0.0).sigma_accel == 0.0
 
 
 def test_commit_record_schema():
