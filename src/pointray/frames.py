@@ -51,11 +51,10 @@ FRAME_RATE_HZ = 30.0  # nominal sensor rate; the time step before a stream's fir
 # and 64 levels still decode under a caller 500 frames deep.
 _MAX_DEPTH = 64
 _ESCAPE_PAIR = re.compile(r"\\.", re.DOTALL)
-# the bytes bytes.translate deletes so that only quotes and brackets remain
+# bytes.translate deletes every byte but quotes and brackets, and writes an
+# opening bracket as the int8 1 and a closing one as -1
 _NOT_STRUCTURE = bytes(range(256)).translate(None, b'"[]{}')
-_DEPTH_STEP = np.zeros(256, dtype=np.int8)
-_DEPTH_STEP[[ord("["), ord("{")]] = 1
-_DEPTH_STEP[[ord("]"), ord("}")]] = -1
+_DEPTH_STEP = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
 
 # orjson writes a float with json.dumps's bytes when it is 0 or its magnitude
 # lies in this range. Outside it, orjson writes 1e16 for 1e+16 and
@@ -264,10 +263,10 @@ def _nesting_depth(line: str) -> tuple[int, int | None]:
     escaped = "\\" in line
     if escaped:
         line = _ESCAPE_PAIR.sub("", line)
-    marks = line.encode("utf-8", "surrogatepass").translate(None, _NOT_STRUCTURE)
+    marks = line.encode("utf-8", "surrogatepass").translate(_DEPTH_STEP, _NOT_STRUCTURE)
     parts = marks.split(b'"')
-    structure = np.frombuffer(b"".join(parts[::2]), dtype=np.uint8)
-    depth = int(np.cumsum(_DEPTH_STEP[structure]).max(initial=0))
+    # cumsum sums int8 in the platform integer, so a deep line cannot wrap
+    depth = int(np.frombuffer(b"".join(parts[::2]), dtype=np.int8).cumsum().max(initial=0))
     return depth, None if escaped else len(parts) - 1
 
 
@@ -360,14 +359,18 @@ def _orjson_writes_as_json(obj) -> bool:
     return obj is None or kind is int or kind is bool
 
 
-def dumps_line(obj) -> str:
+def dumps_line(obj, leaves: Iterable | None = None) -> str:
     """``json.dumps(obj, separators=(",", ":"))``, computed by orjson where the two agree.
 
     A numpy array in ``obj`` is written as its ``tolist()``. Where orjson is
     absent, a value is out of its range (see ``_orjson_writes_as_json``) or
     orjson refuses it (an integer beyond 64 bits), the stdlib writes the line.
+    A caller whose ``obj`` has printable-ASCII keys may pass ``leaves``: every
+    value in ``obj`` that is not a dict or list, as one flat sequence. They
+    are checked in one pass in place of the walk over ``obj``.
     """
-    if orjson is not None and _orjson_writes_as_json(obj):
+    if orjson is not None and (_orjson_writes_as_json(obj) if leaves is None
+                               else all(map(_orjson_writes_as_json, leaves))):
         try:
             return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
         except orjson.JSONEncodeError:
@@ -378,7 +381,7 @@ def dumps_line(obj) -> str:
 def _roi_to_dict(roi: RoiPointSet) -> dict:
     bb = roi.source_bbox
     return {
-        # a tracker's smoothed corners are np.float64, which orjson does not write
+        # corners computed with numpy are np.float64, which orjson does not write
         "bbox": [float(bb.u_min), float(bb.v_min), float(bb.u_max), float(bb.v_max)],
         "conf": float(bb.confidence),
         # the array goes in whole, so that dumps_line checks it in one pass

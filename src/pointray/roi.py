@@ -193,13 +193,15 @@ def estimate_keypoint(
     else:
         chosen = roi.samples
         if strategy is KeypointStrategy.MEAN_DEPTH:
-            depth = float(np.mean(roi.z))
+            depth = float(roi.z.sum() / len(roi))
         elif strategy is KeypointStrategy.MEDIAN_DEPTH:
             depth = float(np.median(roi.z))
         elif strategy is KeypointStrategy.CLOSEST_POINT:
             depth = float(np.min(roi.z))
         else:
             raise ValueError(f"unhandled strategy {strategy!r}")
-    u_c = float(np.mean(chosen[:, 0]))
-    v_c = float(np.mean(chosen[:, 1]))
+    # x.sum() / n is np.mean's own add.reduce and divide, without its wrapper
+    n = len(chosen)
+    u_c = float(chosen[:, 0].sum() / n)
+    v_c = float(chosen[:, 1].sum() / n)
     return deproject(u_c, v_c, depth, intr)

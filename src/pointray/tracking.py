@@ -5,7 +5,8 @@ The tracker runs one Kalman filter per detection track: a constant-velocity
 each bbox size axis, written as closed-form scalar updates. Association is
 greedy nearest neighbor on center distance within a gate radius, separately
 per label. ``step`` returns, in input order, the track each detection
-updated or started, and ``smooth`` rebinds each ROI to its track's bbox.
+updated or started, and ``smooth`` rebinds each ROI to its track's bbox
+(an ROI whose smoothed box rounds to an empty one keeps its detected box).
 
 The goal gate reads each frame's ``FrameResult``. It buffers the most
 recent goal points with the pitch and yaw of their estimate (30 by
@@ -21,10 +22,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .frames import FRAME_RATE_HZ, BoundingBox, DetectionFrame
+from .frames import FRAME_RATE_HZ, BoundingBox, DetectionFrame, FrameFormatError, RoiPointSet
 from .geometry import check_fields
 from .pointing import FrameResult
 
@@ -73,9 +75,9 @@ class Track:
         self.label = bbox.label
         self.confidence = bbox.confidence
         self.misses = 0
-        self.center = np.array(bbox.center)
-        self.velocity = np.zeros(2)
-        self.size = np.array([bbox.width, bbox.height])
+        self.center = bbox.center
+        self.velocity = (0.0, 0.0)
+        self.size = (bbox.width, bbox.height)
         self.p_pos = self.p_size = params.sigma_meas**2
         self.p_cross = 0.0
         self.p_vel = INIT_SPEED_SIGMA**2
@@ -94,7 +96,8 @@ class Track:
         p_size = self.p_size + q_pos
         if not all(map(math.isfinite, (p_pos, p_cross, p_vel, p_size))):
             raise OverflowError(f"track covariance overflows over a {dt} s gap")
-        self.center = self.center + dt * self.velocity
+        (cu, cv), (vu, vv) = self.center, self.velocity
+        self.center = (cu + dt * vu, cv + dt * vv)
         self.p_pos, self.p_cross, self.p_vel, self.p_size = p_pos, p_cross, p_vel, p_size
 
     def update(self, bbox: BoundingBox) -> None:
@@ -102,9 +105,10 @@ class Track:
         s = self.p_pos + r
         k_pos = self.p_pos / s
         k_vel = self.p_cross / s
-        innovation = np.array(bbox.center) - self.center
-        self.center = self.center + k_pos * innovation
-        self.velocity = self.velocity + k_vel * innovation
+        (cu, cv), (vu, vv), (bu, bv) = self.center, self.velocity, bbox.center
+        du, dv = bu - cu, bv - cv
+        self.center = (cu + k_pos * du, cv + k_pos * dv)
+        self.velocity = (vu + k_vel * du, vv + k_vel * dv)
         # Joseph form (I - KH) P (I - KH)^T + K R K^T, written out per entry,
         # keeps the covariance PSD under roundoff.
         keep = 1.0 - k_pos
@@ -113,7 +117,8 @@ class Track:
         self.p_cross = keep * (p_cross - k_vel * p_pos) + r * k_pos * k_vel
         self.p_vel = p_vel - 2.0 * k_vel * p_cross + k_vel * k_vel * p_pos + r * k_vel * k_vel
         k_size = self.p_size / (self.p_size + r)
-        self.size = self.size + k_size * (np.array([bbox.width, bbox.height]) - self.size)
+        w, h = self.size
+        self.size = (w + k_size * (bbox.width - w), h + k_size * (bbox.height - h))
         self.p_size = (1.0 - k_size) ** 2 * self.p_size + r * k_size * k_size
         self.confidence = bbox.confidence
         self.misses = 0
@@ -151,7 +156,7 @@ class DetectionTracker:
         face = [] if frame.face is None else [frame.face]
         rois = face + list(frame.hands)
         tracks = self.step([roi.source_bbox for roi in rois], dt)
-        rebound = [roi.with_bbox(track.bbox()) for roi, track in zip(rois, tracks)]
+        rebound = [_rebind(roi, track) for roi, track in zip(rois, tracks)]
         return DetectionFrame(t, rebound[0] if face else None, tuple(rebound[len(face):]))
 
     def step(self, detections: list[BoundingBox], dt: float) -> list[Track]:
@@ -214,6 +219,16 @@ class DetectionTracker:
         return [assignment[i] for i in range(len(detections))]
 
 
+def _rebind(roi: RoiPointSet, track: Track) -> RoiPointSet:
+    """``roi`` on its track's bbox, or on its own where the smoothed box rounds
+    to an empty one (far from the origin a float's step can exceed its width)."""
+    try:
+        bbox = track.bbox()
+    except FrameFormatError:
+        return roi
+    return roi.with_bbox(bbox)
+
+
 @dataclass(frozen=True)
 class GateParams:
     """Commit rule: full window within the age limit, covariance below tau."""
@@ -265,19 +280,30 @@ class GoalGate:
         if result.goal is not None:  # a goal comes with the estimate it was cast from
             est = result.estimate
             self._entries.append((t, result.goal.x, result.goal.y, est.pitch_deg, est.yaw_deg))
-        if len(self._entries) < self.params.window:
+        n = len(self._entries)
+        if n < self.params.window:
             return None
-        _, xs, ys, pitches, yaws = map(np.array, zip(*self._entries))
+        entries = np.fromiter(chain.from_iterable(self._entries), float, 5 * n).reshape(n, 5)
+        xs, ys = entries[:, 1], entries[:, 2]
         if self.params.mode == GATE_MODE_GOAL:
-            trace = float(np.var(xs, ddof=1) + np.var(ys, ddof=1))
+            trace = float(_sample_var(xs) + _sample_var(ys))
             threshold = self.params.tau
         else:
-            trace = float(np.var(pitches, ddof=1) + np.var(_yaw_deviations(yaws), ddof=1))
+            pitches, yaws = entries[:, 3], entries[:, 4]
+            trace = float(_sample_var(pitches) + _sample_var(_yaw_deviations(yaws)))
             threshold = self.params.tau_angle
         if trace >= threshold:
             return None
         self._entries.clear()
         return CommittedGoal(t, float(np.mean(xs)), float(np.mean(ys)), trace)
+
+
+def _sample_var(x: np.ndarray) -> np.float64:
+    """``np.var(x, ddof=1)`` of a float64 vector, bit for bit: the steps of
+    numpy's ``_var`` (sum, divide, square the deviations, sum, divide)."""
+    n = len(x)
+    dev = x - x.sum() / n
+    return (dev * dev).sum() / (n - 1)
 
 
 def _yaw_deviations(yaw_deg: np.ndarray) -> np.ndarray:

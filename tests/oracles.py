@@ -6,7 +6,10 @@ solver, and a textbook 2-state Kalman filter with its Riccati fixed point.
 The accuracy experiments' grid cells are written out as two separate
 per-cell loops, each spelling out its own random stream. The frame renderer
 is written in its plainest form: one numpy call per draw and a pose's
-geometry recomputed on every frame.
+geometry recomputed on every frame. The tracker state, the keypoint and the
+goal gate are also kept in their plainer numpy forms (2-element state
+arrays, ``np.mean`` and ``np.var`` over per-column arrays), which the
+package's scalar forms must match bit for bit.
 """
 
 from __future__ import annotations
@@ -16,10 +19,18 @@ import math
 import numpy as np
 
 from pointray.frames import FACE, HAND, BoundingBox, DetectionFrame, RoiPointSet
+from pointray.geometry import deproject
 from pointray.pointing import angular_error_deg, estimate_frame
+from pointray.roi import (
+    DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, KeypointStrategy, NoEstimate, REASON_EMPTY_ROI,
+    dbscan_depth, select_target_cluster,
+)
 from pointray.simulate import (
     BBOX_MARGIN, FACE_SIZE_M, FG_DISC_RATIO, HAND_SIZE_M, WALL_OFFSET_M, _pose_geometry,
     _roi_layout, synthesize_frame,
+)
+from pointray.tracking import (
+    GATE_MODE_GOAL, INIT_SPEED_SIGMA, CommittedGoal, GoalGate, _yaw_deviations,
 )
 
 
@@ -141,6 +152,109 @@ class ScalarCvKalman:
         ikh = np.eye(2) - np.outer(k, [1.0, 0.0])
         self.p = ikh @ self.p @ ikh.T + np.outer(k, k) * self.r
         return float(self.x[0])
+
+
+class ArrayTrack:
+    """``tracking.Track`` with its center, velocity and size held as
+    2-element arrays, updated by whole-array arithmetic."""
+
+    def __init__(self, track_id, bbox, params):
+        self.id = track_id
+        self.label = bbox.label
+        self.confidence = bbox.confidence
+        self.misses = 0
+        self.center = np.array(bbox.center)
+        self.velocity = np.zeros(2)
+        self.size = np.array([bbox.width, bbox.height])
+        self.p_pos = self.p_size = params.sigma_meas**2
+        self.p_cross = 0.0
+        self.p_vel = INIT_SPEED_SIGMA**2
+        self._params = params
+
+    def predict(self, dt):
+        sa2 = self._params.sigma_accel**2
+        q_pos = 0.25 * dt**4 * sa2
+        p_pos = self.p_pos + (2.0 * dt * self.p_cross + dt * dt * self.p_vel + q_pos)
+        p_cross = self.p_cross + (dt * self.p_vel + 0.5 * dt**3 * sa2)
+        p_vel = self.p_vel + dt**2 * sa2
+        p_size = self.p_size + q_pos
+        if not all(map(math.isfinite, (p_pos, p_cross, p_vel, p_size))):
+            raise OverflowError(f"track covariance overflows over a {dt} s gap")
+        self.center = self.center + dt * self.velocity
+        self.p_pos, self.p_cross, self.p_vel, self.p_size = p_pos, p_cross, p_vel, p_size
+
+    def update(self, bbox):
+        r = self._params.sigma_meas**2
+        s = self.p_pos + r
+        k_pos = self.p_pos / s
+        k_vel = self.p_cross / s
+        innovation = np.array(bbox.center) - self.center
+        self.center = self.center + k_pos * innovation
+        self.velocity = self.velocity + k_vel * innovation
+        keep = 1.0 - k_pos
+        p_pos, p_cross, p_vel = self.p_pos, self.p_cross, self.p_vel
+        self.p_pos = keep * keep * p_pos + r * k_pos * k_pos
+        self.p_cross = keep * (p_cross - k_vel * p_pos) + r * k_pos * k_vel
+        self.p_vel = p_vel - 2.0 * k_vel * p_cross + k_vel * k_vel * p_pos + r * k_vel * k_vel
+        k_size = self.p_size / (self.p_size + r)
+        self.size = self.size + k_size * (np.array([bbox.width, bbox.height]) - self.size)
+        self.p_size = (1.0 - k_size) ** 2 * self.p_size + r * k_size * k_size
+        self.confidence = bbox.confidence
+        self.misses = 0
+
+    def bbox(self):
+        cu, cv = self.center
+        w = max(self.size[0], 1e-6)
+        h = max(self.size[1], 1e-6)
+        return BoundingBox(cu - 0.5 * w, cv - 0.5 * h, cu + 0.5 * w, cv + 0.5 * h,
+                           self.label, self.confidence)
+
+
+def keypoint_reference(roi, strategy, intr, *, eps=DEFAULT_DBSCAN_EPS,
+                       min_pts=DEFAULT_DBSCAN_MIN_PTS):
+    """``roi.estimate_keypoint`` with its means taken by ``np.mean``."""
+    if len(roi) == 0:
+        raise NoEstimate(REASON_EMPTY_ROI, "empty ROI")
+    if strategy is KeypointStrategy.DBSCAN_CLUSTER:
+        target = select_target_cluster(dbscan_depth(roi.z, eps, min_pts)[0])
+        chosen = roi.samples[target.member_indices]
+        depth = target.mean_depth
+    else:
+        chosen = roi.samples
+        if strategy is KeypointStrategy.MEAN_DEPTH:
+            depth = float(np.mean(roi.z))
+        elif strategy is KeypointStrategy.MEDIAN_DEPTH:
+            depth = float(np.median(roi.z))
+        else:
+            depth = float(np.min(roi.z))
+    return deproject(float(np.mean(chosen[:, 0])), float(np.mean(chosen[:, 1])), depth, intr)
+
+
+class GoalGateReference(GoalGate):
+    """The goal gate with one array per buffered quantity, rebuilt from the
+    window on every full frame, and ``np.var`` for the spread."""
+
+    def update(self, result):
+        t = result.timestamp
+        cutoff = t - self.params.max_age_s
+        while self._entries and self._entries[0][0] < cutoff:
+            self._entries.popleft()
+        if result.goal is not None:
+            est = result.estimate
+            self._entries.append((t, result.goal.x, result.goal.y, est.pitch_deg, est.yaw_deg))
+        if len(self._entries) < self.params.window:
+            return None
+        _, xs, ys, pitches, yaws = map(np.array, zip(*self._entries))
+        if self.params.mode == GATE_MODE_GOAL:
+            trace = float(np.var(xs, ddof=1) + np.var(ys, ddof=1))
+            threshold = self.params.tau
+        else:
+            trace = float(np.var(pitches, ddof=1) + np.var(_yaw_deviations(yaws), ddof=1))
+            threshold = self.params.tau_angle
+        if trace >= threshold:
+            return None
+        self._entries.clear()
+        return CommittedGoal(t, float(np.mean(xs)), float(np.mean(ys)), trace)
 
 
 def kalman_steady_state_gain(sigma_accel: float, sigma_meas: float, dt: float,

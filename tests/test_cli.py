@@ -266,6 +266,21 @@ def test_estimate_track_restarts_after_an_overflowing_gap(t, noiseless_log, tmp_
     assert records[0]["reason"] is None
 
 
+def test_estimate_track_keeps_the_detected_bbox_of_a_collapsed_smoothed_box(tmp_path, capsys):
+    # 1.1e12 px from the origin a float's step is 2**-12 px, so the smoothed
+    # box of this 2e-4 px wide face rounds both u edges to one value
+    shift = 0.000244140625
+    lines = [{"t": t, "face": {"bbox": [1127489647817.0 + s, 10, 1127489647817.0002 + s, 50],
+                               "samples": []}, "hands": []}
+             for t, s in ((0.0, 0.0), (0.033, shift))]
+    src = tmp_path / "far.jsonl"
+    src.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "out.jsonl"
+    assert main(["estimate", "--track", "-i", str(src), "-o", str(out)]) == EXIT_OK
+    assert [r["reason"] for r in read_jsonl(out)] == ["no_hand", "no_hand"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_estimate_with_tracking_and_gate(tmp_path, capsys):
     # a single steady pose: goals agree frame to frame, so the gate commits
     intr = default_intrinsics()

@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import angular_error_reference, collinearity_residual, ray_plane_oracle
+from pointray import frames
 from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
 from pointray.pointing import (
     EstimatorParams,
+    FrameResult,
+    GoalPoint,
+    PointingEstimate,
     angular_error_deg,
     estimate_frame,
     ground_intersection_world,
@@ -255,6 +259,39 @@ def test_estimate_frame_keeps_the_sign_of_a_zero_yaw(intr):
                          PARAMS, intr)
     assert res.estimate.direction[0] == 0.0 and res.estimate.direction[1] < 0
     assert '"yaw_deg":-0.0,' in result_to_line(res)
+
+
+# the edges of the range orjson writes as the stdlib does, and values past them
+_RECORD_FLOATS = [math.inf, -math.inf, math.nan, 1e-5, 1e-4, 1e16, math.nextafter(1e16, 0),
+                  -0.0, 0.0, 5e-324, 12.5]
+
+
+@pytest.mark.parametrize("encoder", ["orjson", "json"])
+@pytest.mark.parametrize("value", [math.inf, 1e-5, 1e16, -0.0])
+def test_result_line_keeps_the_stdlib_bytes(value, encoder, monkeypatch):
+    if encoder == "json":
+        monkeypatch.setattr(frames, "orjson", None)
+    est = PointingEstimate(wp(value, 1.0, 2.0), wp(0.5, 1.5, value), (0.0, 0.0, 0.0), value, 3.0)
+    record = FrameResult(0.5, est, GoalPoint(1.0, value), None)
+    line = result_to_line(record)
+    assert line == json.dumps(result_to_dict(record), separators=(",", ":"))
+    # a non-finite value is still written as the stdlib writes it
+    assert ("Infinity" in line) == (value == math.inf)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(st.sampled_from(_RECORD_FLOATS) | st.floats(), min_size=11, max_size=11),
+       shape=st.sampled_from(["estimate", "no_goal", "no_estimate"]),
+       reason=st.sampled_from([None, "no_hand", "\u00e9", "\x7f"]))
+def test_result_line_keeps_the_stdlib_bytes_for_any_floats(values, shape, reason):
+    t, *rest = values
+    est = PointingEstimate(np.array(rest[0:3]), np.array(rest[3:6]), (0.0, 0.0, 0.0),
+                           rest[6], rest[7])
+    goal = GoalPoint(rest[8], rest[9])
+    record = {"estimate": FrameResult(t, est, goal, reason),
+              "no_goal": FrameResult(t, est, None, reason),
+              "no_estimate": FrameResult(t, None, None, reason)}[shape]
+    assert result_to_line(record) == json.dumps(result_to_dict(record), separators=(",", ":"))
 
 
 def test_estimate_frame_failure_record(intr):

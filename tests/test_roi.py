@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dbscan_reference, dbscan_reference_members
+from oracles import dbscan_reference, dbscan_reference_members, keypoint_reference
 from pointray.frames import BoundingBox, RoiPointSet
 from pointray.geometry import deproject
 from pointray.pointing import EstimatorParams
@@ -335,6 +337,31 @@ def test_keypoint_empty_roi_raises(intr):
         with pytest.raises(NoEstimate) as info:
             estimate_keypoint(roi, strategy, intr)
         assert info.value.reason == "empty_roi"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+       strategy=st.sampled_from(list(KeypointStrategy)))
+def test_keypoint_matches_the_np_mean_oracle_bit_for_bit(n, seed, strategy, intr):
+    # two depth layers for DBSCAN; the ROI is rebound to a smaller box and,
+    # for the other strategies, masked by the center circle as in a frame
+    rng = np.random.default_rng(seed)
+    near = rng.random(n) < rng.random()
+    samples = np.column_stack([rng.uniform(0, 640, n), rng.uniform(0, 480, n),
+                               np.where(near, rng.normal(1.5, 0.05, n), rng.normal(3.0, 0.3, n))])
+    roi = RoiPointSet(samples, BoundingBox(0.0, 0.0, 640.0, 480.0, label="hand"))
+    u0, v0 = rng.uniform(0, 320), rng.uniform(0, 240)
+    roi = roi.with_bbox(BoundingBox(u0, v0, u0 + rng.uniform(1, 320), v0 + rng.uniform(1, 240),
+                                    label="hand"))
+
+    def outcome(estimate):
+        try:
+            target = roi if strategy is KeypointStrategy.DBSCAN_CLUSTER else cobb_filter(roi)
+            return estimate(target, strategy, intr).tobytes()
+        except NoEstimate as exc:
+            return exc.reason
+
+    assert outcome(estimate_keypoint) == outcome(keypoint_reference)
 
 
 def test_strategy_from_name():

@@ -1,12 +1,15 @@
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ScalarCvKalman, kalman_steady_state_gain
-from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
+from oracles import ArrayTrack, GoalGateReference, ScalarCvKalman, kalman_steady_state_gain
+from pointray import tracking
+from pointray.frames import BoundingBox, DetectionFrame, FrameFormatError, RoiPointSet
 from pointray.pointing import FrameResult, GoalPoint, PointingEstimate
 from pointray.tracking import (
     INIT_SPEED_SIGMA,
@@ -211,6 +214,74 @@ def test_smooth_steps_on_frame_gaps_and_rebinds_rois():
     assert len(smoothed.hands[0]) == 1
 
 
+def test_smooth_keeps_the_detected_bbox_when_the_smoothed_one_collapses():
+    # 1.1e12 px from the origin a float's step is 2**-12 px: the smoothed box
+    # of a 2e-4 px wide face rounds both u edges to one value
+    u0, shift = 1127489647817.0, 0.000244140625
+    tracker = DetectionTracker()
+    for t in (0.0, 0.033):
+        bbox = BoundingBox(u0 + t / 0.033 * shift, 10.0, 1127489647817.0002 + t / 0.033 * shift,
+                           50.0, label="face")
+        frame = tracker.smooth(DetectionFrame(t, RoiPointSet(np.empty((0, 3)), bbox)))
+    with pytest.raises(FrameFormatError):
+        tracker.tracks[0].bbox()
+    assert frame.face.source_bbox == bbox
+    # the track took the second detection all the same
+    assert tracker.tracks[0].misses == 0 and tracker.tracks[0].velocity != (0.0, 0.0)
+
+
+def _bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _track_state(track):
+    floats = (*track.center, *track.velocity, *track.size,
+              track.p_pos, track.p_cross, track.p_vel, track.p_size)
+    return track.id, track.label, track.misses, track.confidence, _bits(*floats)
+
+
+def _bbox_bits(track):
+    try:
+        bb = track.bbox()
+    except FrameFormatError:
+        return None
+    return _bits(bb.u_min, bb.v_min, bb.u_max, bb.v_max)
+
+
+# a few objects, each jittered frame to frame, so tracks are matched as well as
+# born; one far from the origin, where smoothed boxes can collapse
+_object_detection = st.tuples(
+    st.sampled_from(["face", "hand"]),
+    st.sampled_from([(100.0, 100.0), (160.0, 120.0), (400.0, 300.0), (1127489647817.0, 50.0)]),
+    st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
+    st.floats(1e-4, 80.0), st.floats(1e-4, 80.0), st.floats(0.0, 1.0),
+)
+# frame gaps: 30 Hz, uneven, and the two that overflow the covariance
+# (dt**4 raises at 1e80 s; at 1e77 s the covariance reaches inf)
+_gap = st.sampled_from([DT, 2 * DT, 0.4, 1e77, 1e80]) | st.floats(1e-3, 2.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(frames=st.lists(st.tuples(_gap, st.lists(_object_detection, max_size=4)),
+                       min_size=1, max_size=30),
+       miss_limit=st.integers(0, 3))
+def test_track_state_matches_the_array_oracle_bit_for_bit(frames, miss_limit):
+    params = TrackerParams(miss_limit=miss_limit)
+    scalar, array = DetectionTracker(params), DetectionTracker(params)
+    for dt, objects in frames:
+        detections = []
+        for label, (u, v), du, dv, w, h, conf in objects:
+            try:
+                detections.append(BoundingBox(u + du, v + dv, u + du + w, v + dv + h, label, conf))
+            except FrameFormatError:  # the width rounds away far from the origin
+                pass
+        scalar.step(detections, dt)
+        with mock.patch.object(tracking, "Track", ArrayTrack):
+            array.step(detections, dt)
+        assert [_track_state(t) for t in scalar.tracks] == [_track_state(t) for t in array.tracks]
+        assert list(map(_bbox_bits, scalar.tracks)) == list(map(_bbox_bits, array.tracks))
+
+
 def test_association_gate_formula():
     params = TrackerParams(image_width=640)
     assert association_gate_px(params, 1.0 / 30.0) == pytest.approx(640 * 2 / 30)
@@ -370,6 +441,36 @@ def test_gate_commits_invariant_to_full_yaw_turns(base, spread, jitter, turns):
     assert [c.timestamp for c in shifted] == [c.timestamp for c in ref]
     for a, b in zip(ref, shifted):
         assert b.cov_trace == pytest.approx(a.cov_trace, rel=1e-6, abs=1e-9)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([2, 3, 8, 9, 30]),
+       tau=st.sampled_from([1e-6, 0.01, 1.0, 100.0, 1e300]),
+       mode=st.sampled_from(["goal", "direction"]))
+def test_gate_matches_the_array_oracle_bit_for_bit(seed, window, tau, mode):
+    # Mostly 30 Hz frames with a goal, some without one, and gaps of 0.3 s
+    # and 1.2 s that age entries out of the 1 s window. A stream's goals
+    # scatter by 0.1 mm to 10 m around a point, its yaws across the +/-180
+    # seam. Windows of 8 and more take numpy's unrolled summation.
+    rng = np.random.default_rng(seed)
+    n = 150
+    gaps = rng.choice([DT, 0.3, 1.2], n, p=[0.98, 0.01, 0.01])
+    has_goal = rng.random(n) < 0.97
+    spread = 10.0 ** rng.uniform(-4, 1)
+    x, y = rng.normal(1.5, spread, n), rng.normal(2.5, spread, n)
+    pitch = rng.normal(30.0, 50 * spread, n)
+    yaw = (rng.normal(179.0, 50 * spread, n) + 180.0) % 360.0 - 180.0
+    params = GateParams(window=window, tau=tau, tau_angle=tau, mode=mode)
+    gate, reference = GoalGate(params), GoalGateReference(params)
+    for i, t in enumerate(np.cumsum(gaps).tolist()):
+        goal = GoalPoint(float(x[i]), float(y[i])) if has_goal[i] else None
+        frame = result(t, goal, pitch_deg=float(pitch[i]), yaw_deg=float(yaw[i]))
+        got, want = gate.update(frame), reference.update(frame)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _bits(got.timestamp, got.x, got.y, got.cov_trace) == _bits(
+                want.timestamp, want.x, want.y, want.cov_trace)
+        assert list(gate._entries) == list(reference._entries)
 
 
 def test_gate_params_validation():
