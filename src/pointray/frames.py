@@ -359,18 +359,14 @@ def _orjson_writes_as_json(obj) -> bool:
     return obj is None or kind is int or kind is bool
 
 
-def dumps_line(obj, leaves: Iterable | None = None) -> str:
+def dumps_line(obj) -> str:
     """``json.dumps(obj, separators=(",", ":"))``, computed by orjson where the two agree.
 
     A numpy array in ``obj`` is written as its ``tolist()``. Where orjson is
     absent, a value is out of its range (see ``_orjson_writes_as_json``) or
     orjson refuses it (an integer beyond 64 bits), the stdlib writes the line.
-    A caller whose ``obj`` has printable-ASCII keys may pass ``leaves``: every
-    value in ``obj`` that is not a dict or list, as one flat sequence. They
-    are checked in one pass in place of the walk over ``obj``.
     """
-    if orjson is not None and (_orjson_writes_as_json(obj) if leaves is None
-                               else all(map(_orjson_writes_as_json, leaves))):
+    if orjson is not None and _orjson_writes_as_json(obj):
         try:
             return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
         except orjson.JSONEncodeError:

@@ -177,10 +177,7 @@ def result_to_dict(result: FrameResult) -> dict:
 
 
 def result_to_line(result: FrameResult) -> str:
-    record = result_to_dict(result)
-    face, hand, goal = (record[key] or () for key in ("face", "hand", "goal"))
-    return dumps_line(record, (record["t"], *face, *hand, record["pitch_deg"],
-                               record["yaw_deg"], *goal, record["reason"]))
+    return dumps_line(result_to_dict(result))
 
 
 def angular_error_deg(direction, true_ray) -> float:

@@ -286,24 +286,16 @@ class GoalGate:
         entries = np.fromiter(chain.from_iterable(self._entries), float, 5 * n).reshape(n, 5)
         xs, ys = entries[:, 1], entries[:, 2]
         if self.params.mode == GATE_MODE_GOAL:
-            trace = float(_sample_var(xs) + _sample_var(ys))
+            trace = float(np.var(xs, ddof=1) + np.var(ys, ddof=1))
             threshold = self.params.tau
         else:
             pitches, yaws = entries[:, 3], entries[:, 4]
-            trace = float(_sample_var(pitches) + _sample_var(_yaw_deviations(yaws)))
+            trace = float(np.var(pitches, ddof=1) + np.var(_yaw_deviations(yaws), ddof=1))
             threshold = self.params.tau_angle
         if trace >= threshold:
             return None
         self._entries.clear()
         return CommittedGoal(t, float(np.mean(xs)), float(np.mean(ys)), trace)
-
-
-def _sample_var(x: np.ndarray) -> np.float64:
-    """``np.var(x, ddof=1)`` of a float64 vector, bit for bit: the steps of
-    numpy's ``_var`` (sum, divide, square the deviations, sum, divide)."""
-    n = len(x)
-    dev = x - x.sum() / n
-    return (dev * dev).sum() / (n - 1)
 
 
 def _yaw_deviations(yaw_deg: np.ndarray) -> np.ndarray:

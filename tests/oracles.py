@@ -9,7 +9,7 @@ is written in its plainest form: one numpy call per draw and a pose's
 geometry recomputed on every frame. The tracker state, the keypoint and the
 goal gate are also kept in their plainer numpy forms (2-element state
 arrays, ``np.mean`` and ``np.var`` over per-column arrays), which the
-package's scalar forms must match bit for bit.
+package's scalar and single-array forms must match bit for bit.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ def keypoint_reference(roi, strategy, intr, *, eps=DEFAULT_DBSCAN_EPS,
 
 
 class GoalGateReference(GoalGate):
-    """The goal gate with one array per buffered quantity, rebuilt from the
-    window on every full frame, and ``np.var`` for the spread."""
+    """The goal gate with one contiguous array per buffered quantity, rebuilt
+    from the window on every frame."""
 
     def update(self, result):
         t = result.timestamp

@@ -443,24 +443,25 @@ def test_gate_commits_invariant_to_full_yaw_turns(base, spread, jitter, turns):
         assert b.cov_trace == pytest.approx(a.cov_trace, rel=1e-6, abs=1e-9)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([2, 3, 8, 9, 30]),
-       tau=st.sampled_from([1e-6, 0.01, 1.0, 100.0, 1e300]),
-       mode=st.sampled_from(["goal", "direction"]))
-def test_gate_matches_the_array_oracle_bit_for_bit(seed, window, tau, mode):
+_gate_tau = st.sampled_from([1e-6, 0.01, 1.0, 100.0, 1e300])
+_gate_mode = st.sampled_from(["goal", "direction"])
+
+
+def _check_gate_against_oracle(seed, window, tau, mode):
     # Mostly 30 Hz frames with a goal, some without one, and gaps of 0.3 s
-    # and 1.2 s that age entries out of the 1 s window. A stream's goals
-    # scatter by 0.1 mm to 10 m around a point, its yaws across the +/-180
-    # seam. Windows of 8 and more take numpy's unrolled summation.
+    # and 1.2 s that age entries out of the window. A stream's goals scatter
+    # by 0.1 mm to 10 m around a point, its yaws across the +/-180 seam. The
+    # stream runs a few dozen frames past the one where the window fills.
     rng = np.random.default_rng(seed)
-    n = 150
+    n = max(150, int(window / 0.95) + 40)
+    max_age_s = 1.0 if window <= 30 else 2 * window * DT  # time for the window to fill
     gaps = rng.choice([DT, 0.3, 1.2], n, p=[0.98, 0.01, 0.01])
     has_goal = rng.random(n) < 0.97
     spread = 10.0 ** rng.uniform(-4, 1)
     x, y = rng.normal(1.5, spread, n), rng.normal(2.5, spread, n)
     pitch = rng.normal(30.0, 50 * spread, n)
     yaw = (rng.normal(179.0, 50 * spread, n) + 180.0) % 360.0 - 180.0
-    params = GateParams(window=window, tau=tau, tau_angle=tau, mode=mode)
+    params = GateParams(window=window, tau=tau, tau_angle=tau, mode=mode, max_age_s=max_age_s)
     gate, reference = GoalGate(params), GoalGateReference(params)
     for i, t in enumerate(np.cumsum(gaps).tolist()):
         goal = GoalPoint(float(x[i]), float(y[i])) if has_goal[i] else None
@@ -470,7 +471,29 @@ def test_gate_matches_the_array_oracle_bit_for_bit(seed, window, tau, mode):
         if got is not None:
             assert _bits(got.timestamp, got.x, got.y, got.cov_trace) == _bits(
                 want.timestamp, want.x, want.y, want.cov_trace)
-        assert list(gate._entries) == list(reference._entries)
+        # both take the same appends and differ only in what they drop from
+        # the front, so equal lengths at every step mean equal windows
+        assert len(gate._entries) == len(reference._entries)
+    assert list(gate._entries) == list(reference._entries)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([2, 3, 8, 9, 30]),
+       tau=_gate_tau, mode=_gate_mode)
+def test_gate_matches_the_array_oracle_bit_for_bit(seed, window, tau, mode):
+    # windows of 8 and more take numpy's unrolled summation
+    _check_gate_against_oracle(seed, window, tau, mode)
+
+
+@pytest.mark.parametrize("window", [200, 9000])
+@pytest.mark.parametrize("mode", ["goal", "direction"])
+def test_gate_matches_the_array_oracle_past_numpy_block_sizes(window, mode):
+    # 200 spans more than one of numpy's 128-element pairwise blocks and 9000
+    # more than its 8192-element buffer: the gate's strided columns must sum
+    # as the oracle's contiguous arrays do past both sizes too. A tau of
+    # 1e300 commits each stream's first full window, whose bits are compared.
+    for seed in range(12):
+        _check_gate_against_oracle(seed, window, 1e300, mode)
 
 
 def test_gate_params_validation():
