@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p_expa)
     p_expa.add_argument("--scenario", default=None)
     p_expa.add_argument("--strategies", default="mean,median,closest,dbscan",
-                        help="comma-separated strategies to evaluate")
+                        help="comma-separated strategies to evaluate, each listed once")
     p_expa.add_argument("--frames", type=int, default=None,
                         help="frames per grid cell (default: scenario value)")
     p_expa.add_argument("--jobs", type=int, default=1, help="parallel workers over cells")
@@ -369,9 +369,12 @@ def cmd_experiment_a(args) -> int:
             KeypointStrategy.from_name(s.strip()) for s in args.strategies.split(",") if s.strip()
         )
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"--strategies: {exc}") from exc
     if not strategies:
-        raise UsageError("no strategies selected")
+        raise UsageError("--strategies: no strategies selected")
+    repeated = sorted({s.value for s in strategies if strategies.count(s) > 1})
+    if repeated:
+        raise UsageError(f"--strategies: {', '.join(repeated)} listed more than once")
     outdir = _make_outdir(args.outdir)
     for name in ["angle_cells.csv", "summary.txt", *(f"heatmap_{s.value}.svg" for s in strategies)]:
         _refuse_same_file(outdir / name, read)

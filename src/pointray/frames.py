@@ -403,7 +403,7 @@ def read_frames(
     """
     last_t = None
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():  # strip() would copy the line
             continue
         try:
             frame = parse_frame(line)

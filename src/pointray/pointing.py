@@ -118,18 +118,59 @@ def ground_intersection_world(face_kp: np.ndarray, hand_kp: np.ndarray) -> GoalP
     return GoalPoint(face_kp[0] - t * p[0], face_kp[1] - t * p[1])
 
 
-def _roi_keypoint(
-    roi: RoiPointSet,
-    strategy: KeypointStrategy,
+def estimate_strategies(
+    frame: DetectionFrame,
+    strategies: Sequence[KeypointStrategy],
     params: EstimatorParams,
     intr: CameraIntrinsics,
-) -> np.ndarray:
-    if strategy is KeypointStrategy.DBSCAN_CLUSTER:
-        return estimate_keypoint(
-            roi, strategy, intr, eps=params.dbscan_eps, min_pts=params.dbscan_min_pts
+) -> list[FrameResult]:
+    """Score one frame under each strategy, one result each in the order
+    given; never raises on degenerate frames.
+
+    The face check, the hand choice and the center-circle mask of the face
+    and the chosen hand run once: the mask only when ``mean``, ``median`` or
+    ``closest`` is asked for, as ``dbscan`` clusters the raw ROIs. A failed
+    step gives its reason to every strategy that depends on it: ``no_face``,
+    ``no_hand``, ``empty_roi``, ``no_cluster`` (estimate absent) or
+    ``no_ground_hit`` (goal absent; the estimate too if the keypoints coincide).
+    """
+    t = frame.timestamp
+    if frame.face is None:
+        return [FrameResult(t, None, None, REASON_NO_FACE)] * len(strategies)
+    try:
+        hand = select_pointing_hand(frame.hands)
+    except NoEstimate as exc:
+        return [FrameResult(t, None, None, exc.reason)] * len(strategies)
+    raw = (frame.face, hand)
+    masked: tuple[RoiPointSet, RoiPointSet] | str = raw  # the reason if the mask empties one
+    if any(s is not KeypointStrategy.DBSCAN_CLUSTER for s in strategies):
+        try:
+            masked = (cobb_filter(frame.face, params.cobb_ratio),
+                      cobb_filter(hand, params.cobb_ratio))
+        except NoEstimate as exc:
+            masked = exc.reason
+    eps, min_pts = params.dbscan_eps, params.dbscan_min_pts  # read by dbscan alone
+    results = []
+    for strategy in strategies:
+        rois = raw if strategy is KeypointStrategy.DBSCAN_CLUSTER else masked
+        if isinstance(rois, str):
+            results.append(FrameResult(t, None, None, rois))
+            continue
+        try:
+            face_kp = estimate_keypoint(rois[0], strategy, intr, eps=eps, min_pts=min_pts)
+            hand_kp = estimate_keypoint(rois[1], strategy, intr, eps=eps, min_pts=min_pts)
+            direction = tuple((face_kp - hand_kp).tolist())
+            # negated rather than hand_kp - face_kp, so that equal x gives yaw -0.0
+            pitch, yaw = ray_angles([-c for c in direction])
+        except NoEstimate as exc:
+            results.append(FrameResult(t, None, None, exc.reason))
+            continue
+        estimate = PointingEstimate(face_kp, hand_kp, direction, pitch, yaw)
+        goal = ground_intersection_world(face_kp, hand_kp)
+        results.append(
+            FrameResult(t, estimate, goal, REASON_NO_GROUND_HIT if goal is None else None)
         )
-    filtered = cobb_filter(roi, params.cobb_ratio)
-    return estimate_keypoint(filtered, strategy, intr)
+    return results
 
 
 def estimate_frame(
@@ -138,27 +179,9 @@ def estimate_frame(
     params: EstimatorParams,
     intr: CameraIntrinsics,
 ) -> FrameResult:
-    """Run the full per-frame pipeline; never raises on degenerate frames.
-
-    Every failure mode is reported through ``FrameResult.reason``:
-    ``no_face``, ``no_hand``, ``empty_roi``, ``no_cluster`` (estimate absent)
-    or ``no_ground_hit`` (goal absent; the estimate too if the keypoints coincide).
-    """
-    t = frame.timestamp
-    if frame.face is None:
-        return FrameResult(t, None, None, REASON_NO_FACE)
-    try:
-        hand = select_pointing_hand(frame.hands)
-        face_kp = _roi_keypoint(frame.face, strategy, params, intr)
-        hand_kp = _roi_keypoint(hand, strategy, params, intr)
-        direction = tuple((face_kp - hand_kp).tolist())
-        # negated rather than hand_kp - face_kp, so that equal x gives yaw -0.0
-        pitch, yaw = ray_angles([-c for c in direction])
-    except NoEstimate as exc:
-        return FrameResult(t, None, None, exc.reason)
-    estimate = PointingEstimate(face_kp, hand_kp, direction, pitch, yaw)
-    goal = ground_intersection_world(face_kp, hand_kp)
-    return FrameResult(t, estimate, goal, REASON_NO_GROUND_HIT if goal is None else None)
+    """Run the full per-frame pipeline under one strategy; never raises on
+    degenerate frames. The one-strategy case of :func:`estimate_strategies`."""
+    return estimate_strategies(frame, (strategy,), params, intr)[0]
 
 
 def result_to_dict(result: FrameResult) -> dict:

@@ -195,9 +195,16 @@ def estimate_keypoint(
         if strategy is KeypointStrategy.MEAN_DEPTH:
             depth = float(roi.z.sum() / len(roi))
         elif strategy is KeypointStrategy.MEDIAN_DEPTH:
-            depth = float(np.median(roi.z))
+            # np.median's own partition and mean of the middle one or two
+            # values, without its wrapper (a NaN depth never reaches an ROI)
+            half = len(roi) // 2
+            if len(roi) % 2:
+                depth = float(np.partition(roi.z, half)[half])
+            else:
+                mid = np.partition(roi.z, (half - 1, half))
+                depth = (float(mid[half - 1]) + float(mid[half])) / 2
         elif strategy is KeypointStrategy.CLOSEST_POINT:
-            depth = float(np.min(roi.z))
+            depth = float(roi.z.min())
         else:
             raise ValueError(f"unhandled strategy {strategy!r}")
     # x.sum() / n is np.mean's own add.reduce and divide, without its wrapper

@@ -32,7 +32,9 @@ import numpy as np
 
 from .frames import FACE, FRAME_RATE_HZ, HAND, BoundingBox, DetectionFrame, RoiPointSet
 from .geometry import CameraIntrinsics, check_fields, finite_number, from_json, project
-from .pointing import EstimatorParams, angular_error_deg, estimate_frame, ray_angles
+from .pointing import (
+    EstimatorParams, angular_error_deg, estimate_frame, estimate_strategies, ray_angles,
+)
 from .roi import KeypointStrategy
 
 WALL_OFFSET_M = 1.5  # background wall sits this far behind the subject
@@ -519,8 +521,8 @@ def _run_cell_a(args) -> list[AngleCellResult]:
     counts = {s: 0 for s in strategies}
     cell = _cell_frames(scenario, intr, pos_idx, dir_idx, frames, use_targets=False)
     for k, (frame, truth) in enumerate(cell):
-        for strategy in strategies:
-            result = estimate_frame(frame, strategy, params, intr)
+        results = estimate_strategies(frame, strategies, params, intr)
+        for strategy, result in zip(strategies, results):
             if result.estimate is None:
                 continue
             counts[strategy] += 1
@@ -602,10 +604,14 @@ def run_experiment_a(
 ) -> list[AngleCellResult]:
     """Angular-accuracy sweep over every (position, direction) grid cell.
 
-    The same synthesized frames are scored under every strategy, so
-    strategy-to-strategy comparisons are paired.
+    The same synthesized frames are scored under every strategy, in one
+    pass per frame, so strategy-to-strategy comparisons are paired. A
+    strategy listed twice raises ``ValueError``.
     """
-    results = _run_grid(_run_cell_a, scenario, intr, tuple(strategies), params,
+    strategies = tuple(strategies)
+    if len(set(strategies)) < len(strategies):
+        raise ValueError(f"strategies repeat: {[s.value for s in strategies]}")
+    results = _run_grid(_run_cell_a, scenario, intr, strategies, params,
                         frames_per_cell, jobs, use_targets=False)
     return [cell for group in results for cell in group]
 

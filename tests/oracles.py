@@ -9,7 +9,9 @@ is written in its plainest form: one numpy call per draw and a pose's
 geometry recomputed on every frame. The tracker state, the keypoint and the
 goal gate are also kept in their plainer numpy forms (2-element state
 arrays, ``np.mean`` and ``np.var`` over per-column arrays), which the
-package's scalar and single-array forms must match bit for bit.
+package's scalar and single-array forms must match bit for bit. The
+per-frame pipeline is kept as one pass per strategy, sharing nothing
+between strategies, which the package's shared pass must match bit for bit.
 """
 
 from __future__ import annotations
@@ -20,10 +22,14 @@ import numpy as np
 
 from pointray.frames import FACE, HAND, BoundingBox, DetectionFrame, RoiPointSet
 from pointray.geometry import deproject
-from pointray.pointing import angular_error_deg, estimate_frame
+from pointray.pointing import (
+    FrameResult, PointingEstimate, angular_error_deg, ground_intersection_world, ray_angles,
+    select_pointing_hand,
+)
 from pointray.roi import (
     DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, KeypointStrategy, NoEstimate, REASON_EMPTY_ROI,
-    dbscan_depth, select_target_cluster,
+    REASON_NO_FACE, REASON_NO_GROUND_HIT, cobb_filter, dbscan_depth, estimate_keypoint,
+    select_target_cluster,
 )
 from pointray.simulate import (
     BBOX_MARGIN, FACE_SIZE_M, FG_DISC_RATIO, HAND_SIZE_M, WALL_OFFSET_M, _pose_geometry,
@@ -276,6 +282,32 @@ def kalman_steady_state_gain(sigma_accel: float, sigma_meas: float, dt: float,
     return k
 
 
+def estimate_frame_reference(frame, strategy, params, intr):
+    """One frame under one strategy, in its own pass: the hand choice, then
+    each ROI's keypoint, the face's before the hand's. ``dbscan`` clusters
+    the raw ROI; the other strategies mask it by the center circle first."""
+    def roi_keypoint(roi):
+        if strategy is KeypointStrategy.DBSCAN_CLUSTER:
+            return estimate_keypoint(roi, strategy, intr, eps=params.dbscan_eps,
+                                     min_pts=params.dbscan_min_pts)
+        return estimate_keypoint(cobb_filter(roi, params.cobb_ratio), strategy, intr)
+
+    t = frame.timestamp
+    if frame.face is None:
+        return FrameResult(t, None, None, REASON_NO_FACE)
+    try:
+        hand = select_pointing_hand(frame.hands)
+        face_kp = roi_keypoint(frame.face)
+        hand_kp = roi_keypoint(hand)
+        direction = tuple((face_kp - hand_kp).tolist())
+        pitch, yaw = ray_angles([-c for c in direction])
+    except NoEstimate as exc:
+        return FrameResult(t, None, None, exc.reason)
+    estimate = PointingEstimate(face_kp, hand_kp, direction, pitch, yaw)
+    goal = ground_intersection_world(face_kp, hand_kp)
+    return FrameResult(t, estimate, goal, REASON_NO_GROUND_HIT if goal is None else None)
+
+
 def experiment_a_reference(scenario, intr, params, strategies, frames):
     """Experiment A cell by cell: (position, direction) cell ``c`` draws its
     frames from ``default_rng([seed, 0, c])`` at 30 Hz and every strategy
@@ -295,7 +327,7 @@ def experiment_a_reference(scenario, intr, params, strategies, frames):
                     noise=scenario.noise, intr=intr, rng=rng, timestamp=k / 30.0,
                 )
                 for s in strategies:
-                    est = estimate_frame(frame, s, params, intr).estimate
+                    est = estimate_frame_reference(frame, s, params, intr).estimate
                     if est is None:
                         continue
                     counts[s] += 1
@@ -320,7 +352,7 @@ def experiment_b_reference(scenario, intr, params, strategy, frames):
                     scenario.subject, position, target=target,
                     noise=scenario.noise, intr=intr, rng=rng, timestamp=k / 30.0,
                 )
-                goal = estimate_frame(frame, strategy, params, intr).goal
+                goal = estimate_frame_reference(frame, strategy, params, intr).goal
                 if goal is None or truth.goal is None:
                     continue
                 goals += 1

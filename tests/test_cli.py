@@ -630,6 +630,16 @@ def test_experiment_a_unknown_strategy(scenario_file, tmp_path):
                  "--strategies", "warp", "--outdir", str(tmp_path / "x")]) == EXIT_USAGE
 
 
+def test_experiment_a_repeated_strategy_is_usage_error(scenario_file, tmp_path, capsys):
+    outdir = tmp_path / "x"
+    assert main(["experiment-a", "--scenario", scenario_file, "--strategies",
+                 "mean,dbscan, mean,median,dbscan", "--outdir", str(outdir)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: --strategies: dbscan, mean listed more than once\n"
+    assert captured.out == ""
+    assert not outdir.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

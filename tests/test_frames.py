@@ -91,6 +91,24 @@ def test_stream_skip_mode_counts_warnings():
     assert skipped == [2, 3]
 
 
+@pytest.mark.parametrize("blank", ["", "\n", "\r\n", " \t\n", "\x0b", "\x0c", "\x1c\x1d\x1e\x1f",
+                                   "\x85", "\u00a0", "\u2028\u2029", "\u3000\n"])
+def test_read_frames_passes_over_whitespace_lines(blank):
+    skipped = []
+    lines = [frame_to_line(make_frame(0.0)), blank, frame_to_line(make_frame(1.0))]
+    frames = list(read_frames(lines, on_skip=lambda n, m: skipped.append(n)))
+    assert [f.timestamp for f in frames] == [0.0, 1.0]
+    assert skipped == []
+
+
+@pytest.mark.parametrize("line", ["\u200b", " \x00\n", "\ufeff\n"])
+def test_read_frames_skips_a_line_of_other_invisible_characters(line):
+    # not whitespace to str.isspace or str.strip: a malformed line
+    skipped = []
+    assert list(read_frames([line], on_skip=lambda n, m: skipped.append(n))) == []
+    assert skipped == [1]
+
+
 def test_bbox_invariants():
     with pytest.raises(FrameFormatError):
         BoundingBox(10, 0, 5, 20, label="face")

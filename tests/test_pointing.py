@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import angular_error_reference, collinearity_residual, ray_plane_oracle
+from oracles import (
+    angular_error_reference, collinearity_residual, estimate_frame_reference, ray_plane_oracle,
+)
 from pointray import frames
 from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
 from pointray.pointing import (
@@ -17,6 +20,7 @@ from pointray.pointing import (
     PointingEstimate,
     angular_error_deg,
     estimate_frame,
+    estimate_strategies,
     ground_intersection_world,
     ray_angles,
     result_to_dict,
@@ -384,6 +388,89 @@ def test_estimate_frame_never_raises(face, hands, copy_face, intr):
         res = estimate_frame(frame, strategy, PARAMS, intr)
         assert res.reason in _REASONS
         assert (res.reason is None) == (res.goal is not None)
+
+
+def _bits(res):
+    """Every field of a result, floats as their IEEE bytes (so -0.0 and NaN count)."""
+    est, goal = res.estimate, res.goal
+    floats = [res.timestamp]
+    if est is not None:
+        floats += [*est.direction, est.pitch_deg, est.yaw_deg]
+    if goal is not None:
+        floats += [goal.x, goal.y]
+    return (res.reason, est is None, goal is None, struct.pack(f"<{len(floats)}d", *floats),
+            None if est is None else (est.face_kp.tobytes(), est.hand_kp.tobytes()))
+
+
+def _assert_matches_one_pass_per_strategy(frame, strategies, intr):
+    results = estimate_strategies(frame, strategies, PARAMS, intr)
+    assert len(results) == len(strategies)
+    for strategy, res in zip(strategies, results):
+        assert _bits(res) == _bits(estimate_frame_reference(frame, strategy, PARAMS, intr))
+        assert _bits(estimate_frame(frame, strategy, PARAMS, intr)) == _bits(res)
+    return [res.reason for res in results]
+
+
+_ALL = tuple(KeypointStrategy)
+_MASK_AND_DBSCAN = (KeypointStrategy.MEDIAN_DEPTH, KeypointStrategy.DBSCAN_CLUSTER)
+
+
+def roi4(label, box, z):
+    """Four samples at the box center: enough for a DBSCAN cluster."""
+    cu, cv = 0.5 * (box[0] + box[2]), 0.5 * (box[1] + box[3])
+    return roi(label, box, [[cu + d, cv + d, z] for d in (-1, 0, 0, 1)])
+
+
+_FACE = roi4("face", (300, 80, 360, 160), 2.0)
+_HAND = roi4("hand", (300, 250, 350, 300), 1.8)
+
+
+@pytest.mark.parametrize("face, hands, strategies, reasons", [
+    (None, (_HAND,), _ALL, ["no_face"] * 4),
+    (_FACE, (), _ALL, ["no_hand"] * 4),
+    # tied hands: both passes pick the same one
+    (_FACE, (_HAND, roi4("hand", (300, 250, 350, 300), 1.7)), _ALL, [None] * 4),
+    # the hand's samples all lie outside the center circle; dbscan sees them
+    (_FACE, (roi("hand", (100, 200, 200, 260), [[101, 201, 1.5]] * 4),), _MASK_AND_DBSCAN,
+     ["empty_roi", None]),
+    (_FACE, (roi("hand", (100, 200, 200, 260), [[101, 201, 1.5], [199, 259, 1.6]]),), _ALL,
+     ["empty_roi"] * 3 + ["no_cluster"]),
+    # so do the face's
+    (roi("face", (300, 80, 360, 160), [[301, 81, 2.0]] * 5), (_HAND,), _ALL,
+     ["empty_roi"] * 3 + [None]),
+    # three hand samples: fewer than min_pts
+    (_FACE, (roi("hand", (300, 250, 350, 300), _HAND.samples[1:]),), _ALL,
+     [None] * 3 + ["no_cluster"]),
+    # coincident keypoints, and a level ray
+    (_FACE, (roi("hand", (300, 80, 360, 160), _FACE.samples),), _ALL, ["no_ground_hit"] * 4),
+    (_FACE, (roi4("hand", (395, 95, 445, 145), 2.0),), _ALL, ["no_ground_hit"] * 4),
+    # repeats and any order
+    (_FACE, (_HAND,), _ALL[::-1] + _ALL, [None] * 8),
+    (_FACE, (_HAND,), (), []),
+])
+def test_estimate_strategies_matches_one_pass_per_strategy(face, hands, strategies, reasons,
+                                                           intr):
+    frame = DetectionFrame(0.25, face, hands)
+    assert _assert_matches_one_pass_per_strategy(frame, strategies, intr) == reasons
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    face=st.none() | _any_roi("face"),
+    hands=st.lists(_any_roi("hand"), max_size=3),
+    copy_face=st.booleans(),
+    tie=st.booleans(),
+    strategies=st.lists(st.sampled_from(KeypointStrategy), max_size=6),
+)
+def test_estimate_strategies_matches_one_pass_per_strategy_on_any_frame(
+        face, hands, copy_face, tie, strategies, intr):
+    if copy_face and face is not None:  # a hand with the face's samples: coincident keypoints
+        hands = [RoiPointSet(face.samples, dataclasses.replace(face.source_bbox, label="hand")),
+                 *hands]
+    if tie and hands:  # a second hand with the first's box and other samples
+        hands = [*hands, RoiPointSet(hands[-1].samples[::-1], hands[0].source_bbox)]
+    frame = DetectionFrame(0.0, face, tuple(hands))
+    _assert_matches_one_pass_per_strategy(frame, tuple(strategies), intr)
 
 
 def test_estimator_params_validation():

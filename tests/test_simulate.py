@@ -466,6 +466,8 @@ def test_experiment_cells_match_reference_streams(intr):
         np.testing.assert_array_equal(cell.err_deg, err)
         np.testing.assert_array_equal(cell.dpitch_deg, dpitch)
         np.testing.assert_array_equal(cell.dyaw_deg, dyaw)
+    with pytest.raises(ValueError, match="repeat"):
+        run_experiment_a(sc, intr, strategies=strategies + strategies[:1])
     cells = run_experiment_b(sc, intr)
     want = list(experiment_b_reference(sc, intr, PARAMS, KeypointStrategy.MEAN_DEPTH, 3))
     assert len(cells) == len(want) == 2 * 2
