@@ -211,12 +211,13 @@ def angular_error_deg(direction, true_ray) -> float:
     """
     est = -np.asarray(direction, dtype=float)
     ref = np.asarray(true_ray, dtype=float)
-    if not (np.linalg.norm(est) and np.linalg.norm(ref)):
+    # a 1-D np.linalg.norm(x) is sqrt(x.dot(x)): these are its zero test and
+    # its bits, without its wrapper
+    if not (est.dot(est) and ref.dot(ref)):
         raise ValueError("zero-length ray in angular error")
     # atan2 of cross/dot keeps full precision near zero angle, unlike acos.
     # The cross product's components are np.cross's own products, in
     # scalars: np.cross costs most of this function on a 3-vector.
     (ex, ey, ez), (rx, ry, rz) = est.tolist(), ref.tolist()
-    cross = float(np.linalg.norm((ey * rz - ez * ry, ez * rx - ex * rz, ex * ry - ey * rx)))
-    dot = float(np.dot(est, ref))
-    return math.degrees(math.atan2(cross, dot))
+    c = np.array((ey * rz - ez * ry, ez * rx - ex * rz, ex * ry - ey * rx))
+    return math.degrees(math.atan2(math.sqrt(c.dot(c)), est.dot(ref)))

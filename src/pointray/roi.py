@@ -155,9 +155,9 @@ def dbscan_depth(
     clusters = []
     for c in range(n_clusters):
         members = by_label[ends[c] : ends[c + 1]]
-        clusters.append(
-            DepthCluster(member_indices=members, mean_depth=float(depths[members].mean()))
-        )
+        # the sum over the size is np.mean's own add.reduce and divide
+        mean_depth = float(depths[members].sum() / members.size)
+        clusters.append(DepthCluster(member_indices=members, mean_depth=mean_depth))
     return clusters, by_label[: ends[0]]
 
 

@@ -429,7 +429,8 @@ def validate_scenario_strict(scenario: Scenario, intr: CameraIntrinsics) -> None
 
 @dataclass(frozen=True, eq=False)
 class AngleCellResult:
-    """Angular accuracy of one (pose, direction, strategy) grid cell."""
+    """Angular accuracy of one (pose, direction, strategy) grid cell; its
+    summaries are computed once, when it is built."""
 
     range_m: float
     bearing_deg: float
@@ -441,27 +442,31 @@ class AngleCellResult:
     err_deg: np.ndarray  # per frame, nan when the frame yielded nothing
     dpitch_deg: np.ndarray
     dyaw_deg: np.ndarray
+    mean_err_deg: float = field(init=False)  # nan when the cell has no estimate
+    mean_abs_dpitch_deg: float = field(init=False)
+    mean_abs_dyaw_deg: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        means = [math.nan] * 3
+        if self.estimates:
+            # np.nanmean's own steps, a row each: NaN as 0, the row's
+            # pairwise sum, over its count of non-NaN values
+            rows = np.array((self.err_deg, self.dpitch_deg, self.dyaw_deg))
+            np.abs(rows[1:], out=rows[1:])
+            kept = rows == rows
+            means = (np.where(kept, rows, 0.0).sum(axis=1) / kept.sum(axis=1)).tolist()
+        for name, mean in zip(("mean_err_deg", "mean_abs_dpitch_deg", "mean_abs_dyaw_deg"), means):
+            object.__setattr__(self, name, mean)
 
     @property
     def yield_rate(self) -> float:
         return self.estimates / self.frames if self.frames else 0.0
 
-    @property
-    def mean_err_deg(self) -> float:
-        return float(np.nanmean(self.err_deg)) if self.estimates else float("nan")
-
-    @property
-    def mean_abs_dpitch_deg(self) -> float:
-        return float(np.nanmean(np.abs(self.dpitch_deg))) if self.estimates else float("nan")
-
-    @property
-    def mean_abs_dyaw_deg(self) -> float:
-        return float(np.nanmean(np.abs(self.dyaw_deg))) if self.estimates else float("nan")
-
 
 @dataclass(frozen=True, eq=False)
 class GoalCellResult:
-    """Floor-goal accuracy of one (pose, target, strategy) grid cell."""
+    """Floor-goal accuracy of one (pose, target, strategy) grid cell; its
+    summaries are computed once, when it is built."""
 
     range_m: float
     bearing_deg: float
@@ -470,18 +475,19 @@ class GoalCellResult:
     frames: int
     goals: int
     err_cm: np.ndarray  # per frame, nan when no goal was produced
+    mean_err_cm: float = field(init=False)  # nan when the cell has no goal
+    std_err_cm: float = field(init=False)  # nan below two goals
+
+    def __post_init__(self) -> None:
+        err = self.err_cm
+        object.__setattr__(self, "mean_err_cm",
+                           float(np.nanmean(err)) if self.goals else math.nan)
+        object.__setattr__(self, "std_err_cm", float(np.nanstd(err[~np.isnan(err)], ddof=1))
+                           if self.goals > 1 else math.nan)
 
     @property
     def yield_rate(self) -> float:
         return self.goals / self.frames if self.frames else 0.0
-
-    @property
-    def mean_err_cm(self) -> float:
-        return float(np.nanmean(self.err_cm)) if self.goals else float("nan")
-
-    @property
-    def std_err_cm(self) -> float:
-        return float(np.nanstd(self.err_cm[~np.isnan(self.err_cm)], ddof=1)) if self.goals > 1 else float("nan")
 
 
 @dataclass(frozen=True)
@@ -515,21 +521,21 @@ def _cell_frames(scenario: Scenario, intr: CameraIntrinsics, pos_idx: int, aim_i
 
 def _run_cell_a(args) -> list[AngleCellResult]:
     scenario, intr, params, strategies, pos_idx, dir_idx, frames = args
-    errs = {s: np.full(frames, np.nan) for s in strategies}
-    dps = {s: np.full(frames, np.nan) for s in strategies}
-    dys = {s: np.full(frames, np.nan) for s in strategies}
-    counts = {s: 0 for s in strategies}
+    # per strategy and frame: angular error, pitch and yaw offsets; NaN where
+    # the frame gave no estimate. Each cell result holds row views.
+    errs, dps, dys = np.full((3, len(strategies), frames), np.nan)
+    counts = [0] * len(strategies)
     cell = _cell_frames(scenario, intr, pos_idx, dir_idx, frames, use_targets=False)
     for k, (frame, truth) in enumerate(cell):
         results = estimate_strategies(frame, strategies, params, intr)
-        for strategy, result in zip(strategies, results):
-            if result.estimate is None:
-                continue
-            counts[strategy] += 1
+        for i, result in enumerate(results):
             est = result.estimate
-            errs[strategy][k] = angular_error_deg(est.direction, truth.ray)
-            dps[strategy][k] = est.pitch_deg - truth.pitch_deg
-            dys[strategy][k] = (est.yaw_deg - truth.yaw_deg + 180.0) % 360.0 - 180.0
+            if est is None:
+                continue
+            counts[i] += 1
+            errs[i, k] = angular_error_deg(est.direction, truth.ray)
+            dps[i, k] = est.pitch_deg - truth.pitch_deg
+            dys[i, k] = (est.yaw_deg - truth.yaw_deg + 180.0) % 360.0 - 180.0
     position = scenario.positions[pos_idx]
     direction = scenario.directions[dir_idx]
     return [
@@ -540,12 +546,12 @@ def _run_cell_a(args) -> list[AngleCellResult]:
             yaw_deg=direction[1],
             strategy=s.value,
             frames=frames,
-            estimates=counts[s],
-            err_deg=errs[s],
-            dpitch_deg=dps[s],
-            dyaw_deg=dys[s],
+            estimates=counts[i],
+            err_deg=errs[i],
+            dpitch_deg=dps[i],
+            dyaw_deg=dys[i],
         )
-        for s in strategies
+        for i, s in enumerate(strategies)
     ]
 
 

@@ -12,6 +12,8 @@ arrays, ``np.mean`` and ``np.var`` over per-column arrays), which the
 package's scalar and single-array forms must match bit for bit. The
 per-frame pipeline is kept as one pass per strategy, sharing nothing
 between strategies, which the package's shared pass must match bit for bit.
+The experiment cells' summaries are numpy's NaN-skipping reductions, which
+the package's once-per-cell sums must match bit for bit.
 """
 
 from __future__ import annotations
@@ -336,6 +338,24 @@ def experiment_a_reference(scenario, intr, params, strategies, frames):
                     dys[s][k] = (est.yaw_deg - truth.yaw_deg + 180.0) % 360.0 - 180.0
             for s in strategies:
                 yield counts[s], errs[s], dps[s], dys[s]
+
+
+def angle_cell_means_reference(estimates, err_deg, dpitch_deg, dyaw_deg):
+    """An experiment-A cell's mean error and mean absolute pitch and yaw
+    offsets by ``np.nanmean``; NaN when the cell has no estimate."""
+    if not estimates:
+        return (float("nan"),) * 3
+    return (float(np.nanmean(err_deg)), float(np.nanmean(np.abs(dpitch_deg))),
+            float(np.nanmean(np.abs(dyaw_deg))))
+
+
+def goal_cell_summary_reference(goals, err_cm):
+    """An experiment-B cell's mean goal error by ``np.nanmean`` and its sample
+    standard deviation by ``np.nanstd(..., ddof=1)`` over the non-NaN values;
+    NaN without a goal, the deviation NaN below two."""
+    mean = float(np.nanmean(err_cm)) if goals else float("nan")
+    std = float(np.nanstd(err_cm[~np.isnan(err_cm)], ddof=1)) if goals > 1 else float("nan")
+    return mean, std
 
 
 def experiment_b_reference(scenario, intr, params, strategy, frames):

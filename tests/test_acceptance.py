@@ -319,19 +319,27 @@ def test_criterion_10_determinism(tmp_path):
     sc_path = tmp_path / "scenario.json"
     sc_path.write_text(json.dumps(scenario.to_dict()))
     outs = [tmp_path / name for name in ("r1", "r2", "r3")]
-    base = ["experiment-a", "--scenario", str(sc_path), "--strategies", "mean,dbscan"]
+    strategies = [s.value for s in STRATEGIES]
+    base = ["experiment-a", "--scenario", str(sc_path), "--strategies", ",".join(strategies)]
     assert main(base + ["--outdir", str(outs[0])]) == EXIT_OK
     assert main(base + ["--outdir", str(outs[1])]) == EXIT_OK
     assert main(base + ["--outdir", str(outs[2]), "--jobs", "2"]) == EXIT_OK
-    for name in ("angle_cells.csv", "heatmap_mean.svg", "heatmap_dbscan.svg"):
+    names = ["angle_cells.csv", "summary.txt", *(f"heatmap_{s}.svg" for s in strategies)]
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(names)
+    for name in names:
         blobs = [(d / name).read_bytes() for d in outs]
         assert blobs[0] == blobs[1], f"{name} differs across repeat runs"
         assert blobs[0] == blobs[2], f"{name} differs between serial and parallel"
-    b1 = tmp_path / "b1"
-    b2 = tmp_path / "b2"
+    outs = [tmp_path / name for name in ("b1", "b2", "b3")]
     baseb = ["experiment-b", "--scenario", str(sc_path), "--frames", "4"]
-    assert main(baseb + ["--outdir", str(b1)]) == EXIT_OK
-    assert main(baseb + ["--outdir", str(b2), "--jobs", "2"]) == EXIT_OK
-    assert (b1 / "goal_cells.csv").read_bytes() == (b2 / "goal_cells.csv").read_bytes()
-    report(10, "CSV and SVG artifacts byte-identical across repeat runs and "
+    assert main(baseb + ["--outdir", str(outs[0])]) == EXIT_OK
+    assert main(baseb + ["--outdir", str(outs[1])]) == EXIT_OK
+    assert main(baseb + ["--outdir", str(outs[2]), "--jobs", "2"]) == EXIT_OK
+    names = ["goal_cells.csv", "goal_table.txt"]
+    assert sorted(p.name for p in outs[0].iterdir()) == names
+    for name in names:
+        blobs = [(d / name).read_bytes() for d in outs]
+        assert blobs[0] == blobs[1], f"{name} differs across repeat runs"
+        assert blobs[0] == blobs[2], f"{name} differs between serial and parallel"
+    report(10, "every experiment artifact byte-identical across repeat runs and "
                "serial vs parallel execution")

@@ -486,19 +486,22 @@ def test_estimator_params_validation():
         EstimatorParams(dbscan_min_pts=2.5)
 
 
-_components = st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6)
+# the tiny magnitudes give non-zero vectors whose norm underflows to 0
+_components = (st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6)
+               | st.floats(1e-200, 1e-140) | st.floats(-1e-140, -1e-200))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(direction=st.tuples(_components, _components, _components),
        ray=st.tuples(_components, _components, _components))
 def test_angular_error_equals_numpys_cross_product_bit_for_bit(direction, ray):
-    if not (any(direction) and any(ray)):
-        with pytest.raises(ValueError):
-            angular_error_deg(direction, ray)
-        return
     # near-parallel pairs, where the cross product nearly cancels
     for d in (direction, [-c for c in ray], [-c * (1 + 1e-9) for c in ray]):
+        # zero length is numpy's: a norm of 0, underflow included
+        if not (np.linalg.norm(d) and np.linalg.norm(ray)):
+            with pytest.raises(ValueError):
+                angular_error_deg(np.array(d), ray)
+            continue
         got = angular_error_deg(np.array(d), ray)
         assert got == angular_error_reference(d, ray)
         assert 0.0 <= got <= 180.0

@@ -151,6 +151,8 @@ def assert_dbscan_matches_reference(depths, eps, min_pts):
     assert frozenset(noise.tolist()) == ref_noise
     got = {frozenset(c.member_indices.tolist()): c.mean_depth for c in clusters}
     assert got.keys() == ref_clusters.keys()
+    for c in clusters:  # np.mean's bits, and within 1e-12 of fsum's below
+        assert c.mean_depth == float(np.mean(np.asarray(depths)[c.member_indices]))
     for members, mean in ref_clusters.items():
         assert got[members] == pytest.approx(mean, rel=1e-12)
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    experiment_a_reference, experiment_b_reference, ray_plane_oracle, synthesize_frame_reference,
+    angle_cell_means_reference, experiment_a_reference, experiment_b_reference,
+    goal_cell_summary_reference, ray_plane_oracle, synthesize_frame_reference,
 )
 from pointray.frames import RoiPointSet, dumps_line, frame_to_line
 from pointray.geometry import default_intrinsics, from_json
 from pointray.pointing import EstimatorParams, angular_error_deg, estimate_frame
 from pointray.roi import KeypointStrategy
 from pointray.simulate import (
+    AngleCellResult,
+    GoalCellResult,
     NoiseModel,
     Scenario,
     ScenarioError,
@@ -445,6 +449,14 @@ def test_experiment_b_serial_equals_parallel(intr):
         assert np.array_equal(a.err_cm, b.err_cm, equal_nan=True)
 
 
+def bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def angle_cell_means(cell: AngleCellResult) -> tuple[float, float, float]:
+    return cell.mean_err_deg, cell.mean_abs_dpitch_deg, cell.mean_abs_dyaw_deg
+
+
 def test_experiment_cells_match_reference_streams(intr):
     # the far pose leaves NaN slots in both experiments; swapping the two
     # experiments' streams, or the cell index order, fails this test
@@ -466,6 +478,8 @@ def test_experiment_cells_match_reference_streams(intr):
         np.testing.assert_array_equal(cell.err_deg, err)
         np.testing.assert_array_equal(cell.dpitch_deg, dpitch)
         np.testing.assert_array_equal(cell.dyaw_deg, dyaw)
+        assert bits(angle_cell_means(cell)) == bits(
+            angle_cell_means_reference(estimates, err, dpitch, dyaw))
     with pytest.raises(ValueError, match="repeat"):
         run_experiment_a(sc, intr, strategies=strategies + strategies[:1])
     cells = run_experiment_b(sc, intr)
@@ -475,6 +489,36 @@ def test_experiment_cells_match_reference_streams(intr):
     for cell, (goals, err) in zip(cells, want):
         assert cell.goals == goals
         np.testing.assert_array_equal(cell.err_cm, err)
+        assert bits((cell.mean_err_cm, cell.std_err_cm)) == bits(
+            goal_cell_summary_reference(goals, err))
+
+
+# One frame of a cell: None when it gave no estimate, else its angular error
+# and its signed pitch and yaw offsets, -0.0 among them.
+_offsets = st.sampled_from([0.0, -0.0]) | st.floats(-180.0, 180.0) | st.floats(-1e-3, 1e-3)
+_estimate = st.tuples(st.floats(0.0, 180.0), _offsets, _offsets)
+_cell_frames = (st.lists(st.none() | _estimate, min_size=1, max_size=40)
+                | st.lists(_estimate, min_size=1, max_size=40)
+                | st.lists(st.none(), min_size=1, max_size=40))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(frames=_cell_frames)
+def test_cell_summaries_equal_numpys_nan_reductions_bit_for_bit(frames):
+    # up to 40 frames cross numpy's 8-wide pairwise summation blocks
+    rows = [(math.nan,) * 3 if f is None else f for f in frames]
+    err, dpitch, dyaw = np.array(rows).T.copy()
+    estimates = len(frames) - frames.count(None)
+    cell = AngleCellResult(range_m=2.0, bearing_deg=0.0, pitch_deg=30.0, yaw_deg=0.0,
+                           strategy="mean", frames=len(frames), estimates=estimates,
+                           err_deg=err, dpitch_deg=dpitch, dyaw_deg=dyaw)
+    assert bits(angle_cell_means(cell)) == bits(
+        angle_cell_means_reference(estimates, err, dpitch, dyaw))
+    # a goal cell's per-frame errors are distances, as the angle errors are
+    goal = GoalCellResult(range_m=2.0, bearing_deg=0.0, target=(0.0, 1.0), strategy="mean",
+                          frames=len(frames), goals=estimates, err_cm=err)
+    assert bits((goal.mean_err_cm, goal.std_err_cm)) == bits(
+        goal_cell_summary_reference(estimates, err))
 
 
 def test_simulate_log_timestamps_increase(intr):
