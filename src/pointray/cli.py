@@ -52,7 +52,7 @@ from .simulate import (
     summarize_goal_by_distance,
     synthesize_frame,
     truth_to_dict,
-    validate_scenario_strict,
+    validate_scenario,
 )
 from .tracking import (
     DetectionTracker,
@@ -84,13 +84,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--strategy",
-        default="mean",
-        choices=[s.value for s in KeypointStrategy],
-        help="keypoint depth statistic (default: mean)",
-    )
+def _add_pipeline_flags(p: argparse.ArgumentParser, *, strategy: bool = True) -> None:
+    if strategy:  # experiment-a takes --strategies instead
+        p.add_argument(
+            "--strategy",
+            default="mean",
+            choices=[s.value for s in KeypointStrategy],
+            help="keypoint depth statistic (default: mean)",
+        )
     p.add_argument("--cobb-ratio", type=float, default=EstimatorParams.cobb_ratio,
                    help="center-circle radius as a fraction of min(w, h) (default: %(default)s)")
     p.add_argument("--eps", type=float, default=EstimatorParams.dbscan_eps,
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--intrinsics", default=None)
 
     p_expa = sub.add_parser("experiment-a", help="angular-accuracy grid sweep")
-    _add_pipeline_flags(p_expa)
+    _add_pipeline_flags(p_expa, strategy=False)
     p_expa.add_argument("--scenario", default=None)
     p_expa.add_argument("--strategies", default="mean,median,closest,dbscan",
                         help="comma-separated strategies to evaluate, each listed once")
@@ -183,17 +184,24 @@ def _load_intrinsics(path: str | None, read: list) -> CameraIntrinsics:
     return _load_config(CameraIntrinsics, path, "intrinsics", read)
 
 
-def _load_scenario(path: str | None, seed: int | None, read: list) -> Scenario:
-    if path is None:
+def _load_scenario(args, *, use_targets: bool) -> tuple[CameraIntrinsics, Scenario, list]:
+    """The intrinsics and the scenario of a ``simulate``, ``experiment-a`` or
+    ``experiment-b`` run, with ``--seed`` applied and the scenario checked for
+    the aims the run renders: its floor targets when ``use_targets``, else its
+    directions. Also the ``read`` list of ``_load_config``."""
+    read: list = []
+    intr = _load_intrinsics(args.intrinsics, read)
+    if args.scenario is None:
         scenario = default_scenario()
     else:
-        scenario = _load_config(Scenario, path, "scenario", read)
-    if seed is not None:
+        scenario = _load_config(Scenario, args.scenario, "scenario", read)
+    if args.seed is not None:
         try:
-            scenario = replace(scenario, seed=seed)
+            scenario = replace(scenario, seed=args.seed)
         except ValueError as exc:  # its message starts with "seed:"
             raise UsageError(f"--{exc}") from exc
-    return scenario
+    validate_scenario(scenario, intr, use_targets=use_targets)
+    return intr, scenario, read
 
 
 def _params_from_args(args) -> EstimatorParams:
@@ -327,15 +335,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    read: list = []
-    intr = _load_intrinsics(args.intrinsics, read)
-    scenario = _load_scenario(args.scenario, args.seed, read)
-    validate_scenario_strict(scenario, intr)
     use_targets = args.aim == "targets"
-    if use_targets and not scenario.floor_targets:
-        raise UsageError("scenario has no floor_targets to aim at")
-    if not use_targets and not scenario.directions:
-        raise UsageError("scenario has no directions to point along")
+    intr, scenario, read = _load_scenario(args, use_targets=use_targets)
     if args.truth == "-" and args.output == "-":
         raise UsageError("--truth - needs -o to name a file: both would write to stdout")
     for path in filter(None, (args.output, args.truth)):
@@ -359,10 +360,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment_a(args) -> int:
-    read: list = []
-    intr = _load_intrinsics(args.intrinsics, read)
-    scenario = _load_scenario(args.scenario, args.seed, read)
-    validate_scenario_strict(scenario, intr)
+    intr, scenario, read = _load_scenario(args, use_targets=False)
     params = _params_from_args(args)
     try:
         strategies = tuple(
@@ -395,14 +393,9 @@ def cmd_experiment_a(args) -> int:
 
 
 def cmd_experiment_b(args) -> int:
-    read: list = []
-    intr = _load_intrinsics(args.intrinsics, read)
-    scenario = _load_scenario(args.scenario, args.seed, read)
-    validate_scenario_strict(scenario, intr)
+    intr, scenario, read = _load_scenario(args, use_targets=True)
     params = _params_from_args(args)
     strategy = KeypointStrategy.from_name(args.strategy)
-    if not scenario.floor_targets:
-        raise UsageError("scenario has no floor_targets")
     outdir = _make_outdir(args.outdir)
     for name in ("goal_cells.csv", "goal_table.txt"):
         _refuse_same_file(outdir / name, read)

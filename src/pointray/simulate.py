@@ -387,15 +387,20 @@ def _aims(scenario: Scenario, use_targets: bool) -> list[dict]:
     return [{"direction": d} for d in scenario.directions]
 
 
-def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
-    """Check what the fields alone cannot show: that there is a pose and an
-    aim, and that each pose is in front of the camera, inside its field of
-    view and renderable. Returns offending-field messages."""
+def validate_scenario(scenario: Scenario, intr: CameraIntrinsics, *, use_targets: bool) -> None:
+    """Check what the fields alone cannot show for a run that renders the
+    floor targets (``use_targets``) or the directions: that there is a pose
+    and an aim of that kind, and that each pose is in front of the camera,
+    inside its field of view and renderable with each such aim. Aims of the
+    other kind are not checked. Raises ScenarioError listing the offending
+    fields."""
     errors = []
+    aims = _aims(scenario, use_targets)
     if not scenario.positions:
         errors.append("positions: at least one pose is required")
-    if not scenario.directions and not scenario.floor_targets:
-        errors.append("directions/floor_targets: at least one aim is required")
+    if not aims:
+        kind = "floor_targets" if use_targets else "directions"
+        errors.append(f"{kind}: at least one aim is required")
     for i, (range_m, bearing_deg) in enumerate(scenario.positions):
         if range_m <= 0:
             errors.append(f"positions[{i}]: range must be positive, got {range_m}")
@@ -407,18 +412,13 @@ def validate_scenario(scenario: Scenario, intr: CameraIntrinsics) -> list[str]:
                 f"camera's +/-{half_hfov:.0f} deg field of view"
             )
             continue
-        for aim in _aims(scenario, use_targets=False) + _aims(scenario, use_targets=True):
+        for aim in aims:
             try:
                 _pose_plan(scenario.subject, (range_m, bearing_deg), aim.get("direction"),
                            aim.get("target"), scenario.noise, intr)
             except ValueError as exc:
                 [(kind, value)] = aim.items()
                 errors.append(f"positions[{i}] x {kind} {value}: {exc}")
-    return errors
-
-
-def validate_scenario_strict(scenario: Scenario, intr: CameraIntrinsics) -> None:
-    errors = validate_scenario(scenario, intr)
     if errors:
         raise ScenarioError(errors)
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import io
 import json
 import math
@@ -9,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import pointray
+from pointray import cli
 from pointray.cli import EXIT_BROKEN_PIPE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from pointray.frames import frame_to_line
-from pointray.simulate import NoiseModel, Scenario, SubjectModel, simulate_log
+from pointray.simulate import NoiseModel, Scenario, SubjectModel, default_scenario, simulate_log
 from pointray.geometry import default_intrinsics
 
 
@@ -640,6 +643,74 @@ def test_experiment_a_repeated_strategy_is_usage_error(scenario_file, tmp_path, 
     assert not outdir.exists()
 
 
+def _aim_run(command, scenario, out):
+    """argv that runs ``command`` ("simulate" with its ``--aim``) on the
+    scenario file ``scenario``, writing into ``out``."""
+    if command.startswith("simulate"):
+        return [*command.split(), "--scenario", str(scenario), "-o", str(out / "log.jsonl"),
+                "--truth", str(out / "truth.jsonl")]
+    return [command, "--scenario", str(scenario), "--frames", "1", "--outdir", str(out)]
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("experiment-a", "directions"),
+    ("experiment-b", "floor_targets"),
+    ("simulate --aim directions", "directions"),
+    ("simulate --aim targets", "floor_targets"),
+])
+def test_a_scenario_without_the_runs_aims_is_invalid(command, missing, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(small_scenario().to_dict(), **{missing: []})))
+    out = tmp_path / "out"
+    if command.startswith("simulate"):
+        out.mkdir()
+    assert main(_aim_run(command, path, out)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid scenario:\n"
+                            f"  - {missing}: at least one aim is required\n")
+    if command.startswith("simulate"):
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["experiment-a", "simulate --aim directions"])
+def test_a_run_ignores_aims_it_does_not_render(command, tmp_path, capsys):
+    # the target is out of frame from this pose; only the runs that aim at
+    # floor targets check it
+    base = dataclasses.replace(default_scenario(), positions=((1.5, 20.0),), floor_targets=(),
+                               frames_per_pose=2)
+    runs = {}  # each run's files and stderr
+    for name, targets in (("without", ()), ("with", ((3.0, 1.0),))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dataclasses.replace(base, floor_targets=targets).to_dict()))
+        out = tmp_path / name
+        out.mkdir()
+        assert main(_aim_run(command, path, out)) == EXIT_OK
+        runs[name] = {p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr().err
+    assert runs["without"][0] and runs["with"] == runs["without"]
+
+
+@pytest.mark.parametrize("command", ["experiment-b", "simulate --aim targets"])
+def test_a_run_rejects_aims_it_cannot_render(command, tmp_path, capsys):
+    sc = dataclasses.replace(default_scenario(), positions=((1.5, 20.0),),
+                             floor_targets=((3.0, 1.0),), frames_per_pose=2)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(sc.to_dict()))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(_aim_run(command, path, out)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invalid scenario:\n"
+        "  - positions[0] x target (3.0, 1.0): hand bbox leaves the image "
+        "(center 714,224, size 78x78)\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -676,3 +747,40 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "pointray" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# every command
+# ---------------------------------------------------------------------------
+
+# a small run of each command that sets every switch its other flags hang on
+_SMALL_RUNS = {
+    "estimate": ["--track", "--gate", "-i", "{log}", "-o", "{tmp}/estimates.jsonl"],
+    "simulate": ["--scenario", "{scenario}", "-o", "{tmp}/log.jsonl",
+                 "--truth", "{tmp}/truth.jsonl"],
+    "experiment-a": ["--scenario", "{scenario}", "--frames", "1", "--outdir", "{tmp}/a"],
+    "experiment-b": ["--scenario", "{scenario}", "--frames", "1", "--outdir", "{tmp}/b"],
+    "bench": ["--frames", "2", "--samples", "50"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_flag_a_command_accepts_is_read(command, noiseless_log, scenario_file, tmp_path,
+                                              capsys):
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    [subparsers] = [a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    parser = subparsers.choices[command]
+    paths = {"log": noiseless_log, "scenario": scenario_file, "tmp": tmp_path}
+    args = parser.parse_args([a.format(**paths) for a in _SMALL_RUNS[command]],
+                             namespace=Recorder())
+    reads.clear()  # argparse reads the namespace while it fills it
+    assert cli._COMMANDS[command](args) == EXIT_OK
+    unread = {a.dest for a in parser._actions} - {"help"} - reads
+    assert unread == set()

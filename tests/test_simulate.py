@@ -33,7 +33,6 @@ from pointray.simulate import (
     synthesize_frame,
     truth_to_dict,
     validate_scenario,
-    validate_scenario_strict,
 )
 
 PARAMS = EstimatorParams()
@@ -310,7 +309,8 @@ def test_direction_or_target_exclusive(intr):
 
 def test_default_scenario_is_valid(intr):
     sc = default_scenario()
-    assert validate_scenario(sc, intr) == []
+    validate_scenario(sc, intr, use_targets=False)
+    validate_scenario(sc, intr, use_targets=True)
     assert len(sc.positions) == 25
     assert len(sc.directions) == 4
     assert len(sc.floor_targets) == 3
@@ -318,17 +318,19 @@ def test_default_scenario_is_valid(intr):
 
 def test_scenario_rejects_out_of_view_pose(intr):
     sc = dataclasses.replace(default_scenario(), positions=((1.5, 55.0),))
-    errors = validate_scenario(sc, intr)
-    assert errors and "positions[0]" in errors[0]
-    with pytest.raises(ScenarioError):
-        validate_scenario_strict(sc, intr)
+    for use_targets in (False, True):
+        with pytest.raises(ScenarioError) as exc:
+            validate_scenario(sc, intr, use_targets=use_targets)
+        assert exc.value.errors and "positions[0]" in exc.value.errors[0]
 
 
 def test_scenario_rejects_bad_fields(intr):
     with pytest.raises(ValueError, match=r"frames_per_pose: must be an integer in \[1, inf\)"):
         dataclasses.replace(default_scenario(), frames_per_pose=0)
     sc = dataclasses.replace(default_scenario(), positions=((-1.0, 0.0),))
-    assert validate_scenario(sc, intr) == ["positions[0]: range must be positive, got -1.0"]
+    with pytest.raises(ScenarioError) as exc:
+        validate_scenario(sc, intr, use_targets=False)
+    assert exc.value.errors == ["positions[0]: range must be positive, got -1.0"]
 
 
 @pytest.mark.parametrize("field, value", [
