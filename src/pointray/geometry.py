@@ -17,8 +17,6 @@ import reprlib
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from importlib import resources
 
-import numpy as np
-
 
 def finite_number(value) -> float | None:
     """``value`` as a float if it is a number, not a bool, and finite as a
@@ -113,16 +111,16 @@ def default_intrinsics() -> CameraIntrinsics:
     return from_json(CameraIntrinsics, json.loads(text))
 
 
-def deproject(u: float, v: float, z: float, intr: CameraIntrinsics) -> np.ndarray:
+def deproject(u: float, v: float, z: float, intr: CameraIntrinsics) -> tuple[float, float, float]:
     """Back-project pixel (u, v) at depth z into a world-frame point (X, Y, Z)."""
     if not z > 0:
         raise ValueError(f"cannot deproject non-positive depth z={z}")
     x = (u - intr.cx) * z / intr.fx
     y = (v - intr.cy) * z / intr.fy
-    return np.array([x, z, intr.camera_height - y])
+    return x, z, intr.camera_height - y
 
 
-def project(p: np.ndarray, intr: CameraIntrinsics) -> tuple[float, float, float]:
+def project(p, intr: CameraIntrinsics) -> tuple[float, float, float]:
     """Project a world-frame point onto the image; returns (u, v, depth)."""
     x, depth, height = p
     if not depth > 0:

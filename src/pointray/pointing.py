@@ -10,6 +10,7 @@ with the ground plane Z = 0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,8 +52,8 @@ class EstimatorParams:
 class PointingEstimate:
     """One frame's pointing vector in world coordinates."""
 
-    face_kp: np.ndarray  # world (X, Y, Z)
-    hand_kp: np.ndarray
+    face_kp: tuple[float, float, float]  # world (X, Y, Z)
+    hand_kp: tuple[float, float, float]
     direction: tuple[float, float, float]  # face_kp - hand_kp, unnormalized
     pitch_deg: float
     yaw_deg: float
@@ -94,7 +95,7 @@ def ray_angles(ray) -> tuple[float, float]:
     pitch is positive downward. A straight-down ray has yaw 0 by convention.
     A zero-length ray (coincident keypoints) meets nothing: ``no_ground_hit``.
     """
-    dx, dy, dz = (float(c) for c in ray)
+    dx, dy, dz = ray
     horizontal = math.hypot(dx, dy)
     if horizontal == 0.0 and dz == 0.0:
         raise NoEstimate(REASON_NO_GROUND_HIT, "zero-length direction vector")
@@ -105,17 +106,18 @@ def ray_angles(ray) -> tuple[float, float]:
     return pitch, yaw
 
 
-def ground_intersection_world(face_kp: np.ndarray, hand_kp: np.ndarray) -> GoalPoint | None:
+def ground_intersection_world(face_kp, hand_kp) -> GoalPoint | None:
     """Intersect the eye-through-hand ray with the ground plane Z = 0.
 
     Requires the face to sit above the hand in world height so the ray
     descends; a level or ascending ray returns ``None``.
     """
-    p = face_kp - hand_kp
-    if p[2] < MIN_DESCENT:
+    (fx, fy, fz), (hx, hy, hz) = face_kp, hand_kp
+    pz = fz - hz
+    if pz < MIN_DESCENT:
         return None
-    t = face_kp[2] / p[2]
-    return GoalPoint(face_kp[0] - t * p[0], face_kp[1] - t * p[1])
+    t = fz / pz
+    return GoalPoint(fx - t * (fx - hx), fy - t * (fy - hy))
 
 
 def estimate_strategies(
@@ -159,7 +161,7 @@ def estimate_strategies(
         try:
             face_kp = estimate_keypoint(rois[0], strategy, intr, eps=eps, min_pts=min_pts)
             hand_kp = estimate_keypoint(rois[1], strategy, intr, eps=eps, min_pts=min_pts)
-            direction = tuple((face_kp - hand_kp).tolist())
+            direction = tuple(map(operator.sub, face_kp, hand_kp))
             # negated rather than hand_kp - face_kp, so that equal x gives yaw -0.0
             pitch, yaw = ray_angles([-c for c in direction])
         except NoEstimate as exc:
@@ -189,12 +191,11 @@ def result_to_dict(result: FrameResult) -> dict:
     est = result.estimate
     return {
         "t": result.timestamp,
-        "face": None if est is None else est.face_kp.tolist(),
-        "hand": None if est is None else est.hand_kp.tolist(),
+        "face": None if est is None else est.face_kp,
+        "hand": None if est is None else est.hand_kp,
         "pitch_deg": None if est is None else est.pitch_deg,
         "yaw_deg": None if est is None else est.yaw_deg,
-        # goal coordinates are np.float64, which orjson does not write
-        "goal": None if result.goal is None else [float(result.goal.x), float(result.goal.y)],
+        "goal": None if result.goal is None else [result.goal.x, result.goal.y],
         "reason": result.reason,
     }
 

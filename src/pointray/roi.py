@@ -175,7 +175,7 @@ def estimate_keypoint(
     *,
     eps: float = DEFAULT_DBSCAN_EPS,
     min_pts: int = DEFAULT_DBSCAN_MIN_PTS,
-) -> np.ndarray:
+) -> tuple[float, float, float]:
     """Summarize an ROI into one world-frame 3D keypoint.
 
     The pixel location is the centroid of the retained samples; the depth is

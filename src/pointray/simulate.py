@@ -110,11 +110,9 @@ class SubjectModel:
         check_fields(self, height="(0, inf)", eye_height="(0, height]", arm_length="(0, inf)",
                      shoulder_drop="(0, arm_length)")
 
-    def reach_along(self, ray_unit: np.ndarray) -> float:
-        uz = float(ray_unit[2])
-        b = uz * self.shoulder_drop
-        disc = b * b + self.arm_length**2 - self.shoulder_drop**2
-        return -b + math.sqrt(disc)
+    def reach_along(self, ray_unit: tuple[float, float, float]) -> float:
+        b = ray_unit[2] * self.shoulder_drop
+        return -b + math.sqrt(b * b + self.arm_length**2 - self.shoulder_drop**2)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -159,20 +157,20 @@ def default_scenario() -> Scenario:
 class GroundTruth:
     """Analytic truth for one synthesized frame."""
 
-    eye: np.ndarray  # world (X, Y, Z)
-    fingertip: np.ndarray
+    eye: tuple[float, float, float]  # world (X, Y, Z)
+    fingertip: tuple[float, float, float]
     pitch_deg: float
     yaw_deg: float
     goal: tuple[float, float] | None  # ground-plane hit, None when not descending
     ray: tuple[float, float, float]  # unit direction eye -> fingertip
 
 
-def direction_unit(pitch_deg: float, yaw_deg: float) -> np.ndarray:
+def direction_unit(pitch_deg: float, yaw_deg: float) -> tuple[float, float, float]:
     """World-frame unit vector for a pitch (down positive) / yaw pair."""
     pitch = math.radians(pitch_deg)
     yaw = math.radians(yaw_deg)
     ch = math.cos(pitch)
-    return np.array([math.sin(yaw) * ch, math.cos(yaw) * ch, -math.sin(pitch)])
+    return math.sin(yaw) * ch, math.cos(yaw) * ch, -math.sin(pitch)
 
 
 def _pose_geometry(
@@ -187,21 +185,22 @@ def _pose_geometry(
     if range_m <= 0:
         raise ValueError(f"range must be positive, got {range_m}")
     b = math.radians(bearing_deg)
-    eye = np.array([range_m * math.sin(b), range_m * math.cos(b), subject.eye_height])
+    ex, ey, ez = eye = range_m * math.sin(b), range_m * math.cos(b), subject.eye_height
     if direction is not None:
         unit = direction_unit(*direction)
     else:
         tx, ty = target
-        to_target = np.array([tx - eye[0], ty - eye[1], -eye[2]])
-        unit = to_target / np.linalg.norm(to_target)
+        to_target = tx - ex, ty - ey, -ez
+        # np.linalg.norm is sqrt of numpy's dot, whose bits a 3-term sum does not keep
+        norm = float(np.linalg.norm(to_target))
+        unit = tuple(c / norm for c in to_target)
     reach = subject.reach_along(unit)
-    fingertip = eye + reach * unit
-    eye.setflags(write=False)  # the frames of one pose share their truth
-    fingertip.setflags(write=False)
+    ux, uy, uz = unit
+    fingertip = ex + reach * ux, ey + reach * uy, ez + reach * uz
     pitch, yaw = ray_angles(unit)
-    if unit[2] < -1e-12:
-        s = eye[2] / -unit[2]
-        goal = (float(eye[0] + s * unit[0]), float(eye[1] + s * unit[1]))
+    if uz < -1e-12:
+        s = ez / -uz
+        goal = (ex + s * ux, ey + s * uy)
     else:
         goal = None
     return GroundTruth(
@@ -210,12 +209,12 @@ def _pose_geometry(
         pitch_deg=pitch,
         yaw_deg=yaw,
         goal=goal,
-        ray=tuple(map(float, unit)),
+        ray=unit,
     )
 
 
 def _roi_layout(
-    center_world: np.ndarray,
+    center_world: tuple[float, float, float],
     phys_size: tuple[float, float],
     label: str,
     noise: NoiseModel,
@@ -265,9 +264,9 @@ def _pose_plan(subject, position, direction, target, noise: NoiseModel,
     key, plan = _last_plan
     if plan is None or not all(map(operator.is_, args, key)):
         truth = _pose_geometry(*args[:4])
-        face = tuple(map(float, _roi_layout(truth.eye, FACE_SIZE_M, FACE, noise, intr)))
-        hand = tuple(map(float, _roi_layout(truth.fingertip, HAND_SIZE_M, HAND, noise, intr)))
-        plan = truth, face, hand, float(truth.eye[1]) + WALL_OFFSET_M
+        face = _roi_layout(truth.eye, FACE_SIZE_M, FACE, noise, intr)
+        hand = _roi_layout(truth.fingertip, HAND_SIZE_M, HAND, noise, intr)
+        plan = truth, face, hand, truth.eye[1] + WALL_OFFSET_M
         _last_plan = args, plan
     return plan
 
@@ -371,8 +370,8 @@ def synthesize_frame(
     (pitch/yaw) or at a floor target (x, y).
 
     Successive frames of one pose share its plan and so its ``GroundTruth``,
-    whose arrays are read-only. An unrenderable pose raises ValueError
-    before anything is drawn from ``rng``."""
+    whose points are tuples. An unrenderable pose raises ValueError before
+    anything is drawn from ``rng``."""
     truth, face, hand, wall_z = _pose_plan(subject, position, direction, target, noise, intr)
     face_roi = _synthesize_roi(face, FACE, wall_z, noise, rng)
     hand_roi = _synthesize_roi(hand, HAND, wall_z, noise, rng)
@@ -683,8 +682,8 @@ def simulate_log(
 def truth_to_dict(truth: GroundTruth, timestamp: float) -> dict:
     return {
         "t": timestamp,
-        "eye": truth.eye.tolist(),
-        "fingertip": truth.fingertip.tolist(),
+        "eye": truth.eye,
+        "fingertip": truth.fingertip,
         "pitch_deg": truth.pitch_deg,
         "yaw_deg": truth.yaw_deg,
         "goal": None if truth.goal is None else [truth.goal[0], truth.goal[1]],

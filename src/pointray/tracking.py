@@ -184,6 +184,7 @@ class DetectionTracker:
             for track in self.tracks:
                 if track.label != det.label:
                     continue
+                # np.hypot: math.hypot rounds some pairs differently, and dist orders the matches
                 dist = float(np.hypot(track.center[0] - cu, track.center[1] - cv))
                 if dist <= gate:
                     pairs.append((dist, track.id, rank, track, det_idx))

@@ -13,7 +13,10 @@ package's scalar and single-array forms must match bit for bit. The
 per-frame pipeline is kept as one pass per strategy, sharing nothing
 between strategies, which the package's shared pass must match bit for bit.
 The experiment cells' summaries are numpy's NaN-skipping reductions, which
-the package's once-per-cell sums must match bit for bit.
+the package's once-per-cell sums must match bit for bit. A pose's geometry and
+the step from two keypoints to the pointing direction and goal are kept in
+their numpy forms, one 3-element array per point, which the package's
+tuples of floats must match bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import numpy as np
 from pointray.frames import FACE, HAND, BoundingBox, DetectionFrame, RoiPointSet
 from pointray.geometry import deproject
 from pointray.pointing import (
-    FrameResult, PointingEstimate, angular_error_deg, ground_intersection_world, ray_angles,
-    select_pointing_hand,
+    MIN_DESCENT, FrameResult, PointingEstimate, angular_error_deg, ground_intersection_world,
+    ray_angles, select_pointing_hand,
 )
 from pointray.roi import (
     DEFAULT_DBSCAN_EPS, DEFAULT_DBSCAN_MIN_PTS, KeypointStrategy, NoEstimate, REASON_EMPTY_ROI,
@@ -34,7 +37,7 @@ from pointray.roi import (
     select_target_cluster,
 )
 from pointray.simulate import (
-    BBOX_MARGIN, FACE_SIZE_M, FG_DISC_RATIO, HAND_SIZE_M, WALL_OFFSET_M, _pose_geometry,
+    BBOX_MARGIN, FACE_SIZE_M, FG_DISC_RATIO, HAND_SIZE_M, WALL_OFFSET_M, GroundTruth,
     _roi_layout, synthesize_frame,
 )
 from pointray.tracking import (
@@ -284,6 +287,50 @@ def kalman_steady_state_gain(sigma_accel: float, sigma_meas: float, dt: float,
     return k
 
 
+def keypoint_ray_reference(face_kp, hand_kp):
+    """The pointing direction and the ground goal of two world keypoints, in
+    numpy: ``(direction, goal)``, the goal an ``(x, y)`` pair or ``None``."""
+    face_kp, hand_kp = np.array(face_kp, dtype=float), np.array(hand_kp, dtype=float)
+    with np.errstate(all="ignore"):  # the keypoints may hold inf and NaN
+        p = face_kp - hand_kp
+        direction = tuple(p.tolist())
+        if p[2] < MIN_DESCENT:
+            return direction, None
+        t = face_kp[2] / p[2]
+        return direction, (float(face_kp[0] - t * p[0]), float(face_kp[1] - t * p[1]))
+
+
+def pose_geometry_reference(subject, position, direction=None, target=None):
+    """A pose's ``GroundTruth`` with eye and fingertip as numpy arrays."""
+    if (direction is None) == (target is None):
+        raise ValueError("exactly one of direction or target must be given")
+    range_m, bearing_deg = position
+    if range_m <= 0:
+        raise ValueError(f"range must be positive, got {range_m}")
+    b = math.radians(bearing_deg)
+    eye = np.array([range_m * math.sin(b), range_m * math.cos(b), subject.eye_height])
+    if direction is not None:
+        pitch, yaw = math.radians(direction[0]), math.radians(direction[1])
+        ch = math.cos(pitch)
+        unit = np.array([math.sin(yaw) * ch, math.cos(yaw) * ch, -math.sin(pitch)])
+    else:
+        tx, ty = target
+        to_target = np.array([tx - eye[0], ty - eye[1], -eye[2]])
+        unit = to_target / np.linalg.norm(to_target)
+    # the reach along the ray, as SubjectModel.reach_along gives it
+    bz = float(unit[2]) * subject.shoulder_drop
+    reach = -bz + math.sqrt(bz * bz + subject.arm_length**2 - subject.shoulder_drop**2)
+    fingertip = eye + reach * unit
+    pitch, yaw = ray_angles(unit)
+    if unit[2] < -1e-12:
+        s = eye[2] / -unit[2]
+        goal = (float(eye[0] + s * unit[0]), float(eye[1] + s * unit[1]))
+    else:
+        goal = None
+    return GroundTruth(eye=eye, fingertip=fingertip, pitch_deg=pitch, yaw_deg=yaw, goal=goal,
+                       ray=tuple(map(float, unit)))
+
+
 def estimate_frame_reference(frame, strategy, params, intr):
     """One frame under one strategy, in its own pass: the hand choice, then
     each ROI's keypoint, the face's before the hand's. ``dbscan`` clusters
@@ -301,7 +348,7 @@ def estimate_frame_reference(frame, strategy, params, intr):
         hand = select_pointing_hand(frame.hands)
         face_kp = roi_keypoint(frame.face)
         hand_kp = roi_keypoint(hand)
-        direction = tuple((face_kp - hand_kp).tolist())
+        direction = tuple(np.subtract(face_kp, hand_kp).tolist())
         pitch, yaw = ray_angles([-c for c in direction])
     except NoEstimate as exc:
         return FrameResult(t, None, None, exc.reason)
@@ -437,7 +484,7 @@ def synthesize_frame_reference(subject, position, *, direction=None, target=None
                                intr, rng, timestamp=0.0):
     """The frame renderer in its plainest form: the pose's geometry, layout
     and every draw made afresh for each frame, one numpy call per draw."""
-    truth = _pose_geometry(subject, position, direction, target)
+    truth = pose_geometry_reference(subject, position, direction, target)
     wall_z = truth.eye[1] + WALL_OFFSET_M
     face_roi = _synthesize_roi_reference(truth.eye, FACE_SIZE_M, FACE, wall_z, noise, intr, rng)
     hand_roi = _synthesize_roi_reference(truth.fingertip, HAND_SIZE_M, HAND, wall_z, noise,

@@ -13,8 +13,8 @@ from pointray.geometry import (
 
 def test_deproject_principal_point(intr):
     p = deproject(intr.cx, intr.cy, 2.0, intr)
-    assert p.dtype == np.float64 and p.shape == (3,)
-    assert p.tolist() == [0.0, 2.0, intr.camera_height]
+    assert type(p) is tuple and len(p) == 3 and all(type(c) is float for c in p)
+    assert p == (0.0, 2.0, intr.camera_height)
 
 
 def test_deproject_analytic():
@@ -30,9 +30,9 @@ def test_deproject_world_examples():
     # heights camera_height - (v - cy) * depth / fy
     intr = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480,
                             camera_height=1.0)
-    assert deproject(320.0, 240.0, 3.0, intr).tolist() == [0.0, 3.0, 1.0]
-    assert deproject(320.0, 490.0, 2.0, intr).tolist() == [0.0, 2.0, 0.0]
-    assert deproject(445.0, 190.0, 2.0, intr).tolist() == [0.5, 2.0, 1.2]
+    assert deproject(320.0, 240.0, 3.0, intr) == (0.0, 3.0, 1.0)
+    assert deproject(320.0, 490.0, 2.0, intr) == (0.0, 2.0, 0.0)
+    assert deproject(445.0, 190.0, 2.0, intr) == (0.5, 2.0, 1.2)
 
 
 def test_project_optical_axis(intr):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    angular_error_reference, collinearity_residual, estimate_frame_reference, ray_plane_oracle,
+    angular_error_reference, collinearity_residual, estimate_frame_reference,
+    keypoint_ray_reference, ray_plane_oracle,
 )
 from pointray import frames
 from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
@@ -179,6 +181,58 @@ def test_goal_translates_with_keypoints():
         assert g2.y - g1.y == pytest.approx(off[1], abs=1e-9)
 
 
+# A keypoint coordinate: signed zeros, the infinities, NaN and values whose
+# differences overflow, often; any double otherwise.
+_coord = (st.sampled_from([0.0, -0.0])
+          | st.sampled_from([1.5, math.inf, -math.inf, math.nan, 1e308, -1e308]) | st.floats())
+
+
+@st.composite
+def _keypoint_pair(draw):
+    """A face and a hand keypoint: the same point, or one whose coordinates
+    each equal the face's half the time, else differ from them by about
+    MIN_DESCENT, so that rays run level, or by 1, or are drawn afresh."""
+    face = tuple(draw(_coord) for _ in range(3))
+    if draw(st.booleans()):
+        return face, face
+    return face, tuple(c if draw(st.booleans()) else
+                       draw(st.sampled_from([c - 5e-7, c - 1e-6, c - 1.0]) | _coord)
+                       for c in face)
+
+
+def _float_bits(values) -> bytes:
+    """IEEE bytes of each float, so -0.0 counts; NaN is one value whatever its
+    sign bit: inf - inf can give a NaN of either sign in numpy and in Python
+    floats, and every output writes it as NaN."""
+    return b"".join(b"NaN" if x != x else struct.pack("<d", x) for x in values)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(pair=_keypoint_pair())
+def test_keypoint_ray_matches_the_numpy_reference_bit_for_bit(pair, intr):
+    # the keypoints go through estimate_strategies' own step to the direction
+    face_kp, hand_kp = pair
+    want_direction, want_goal = keypoint_ray_reference(face_kp, hand_kp)
+    frame = DetectionFrame(0.0, roi("face", (0, 0, 10, 10), [[5, 5, 1.0]]),
+                           (roi("hand", (0, 20, 10, 30), [[5, 25, 1.0]]),))
+    points = {"face": face_kp, "hand": hand_kp}
+    with mock.patch("pointray.pointing.estimate_keypoint",
+                    lambda r, *args, **kwargs: points[r.label]):
+        [res] = estimate_strategies(frame, (KeypointStrategy.DBSCAN_CLUSTER,), PARAMS, intr)
+    goal = ground_intersection_world(face_kp, hand_kp)
+    assert (goal is None) == (want_goal is None)
+    if goal is not None:
+        assert _float_bits((goal.x, goal.y)) == _float_bits(want_goal)
+    if res.estimate is None:  # a zero-length direction meets nothing
+        assert res.reason == "no_ground_hit" and not any(want_direction)
+        return
+    assert res.estimate.face_kp is face_kp and res.estimate.hand_kp is hand_kp
+    assert _float_bits(res.estimate.direction) == _float_bits(want_direction)
+    assert (res.goal is None) == (goal is None)
+    if goal is not None:
+        assert _float_bits((res.goal.x, res.goal.y)) == _float_bits(want_goal)
+
+
 # ---------------------------------------------------------------------------
 # Frame-level estimation
 # ---------------------------------------------------------------------------
@@ -242,7 +296,7 @@ def test_estimate_frame_success_schema(intr):
     assert res.estimate is not None and res.goal is not None and res.reason is None
     est = res.estimate
     # direction must equal face - hand componentwise
-    d = est.face_kp - est.hand_kp
+    d = [f - h for f, h in zip(est.face_kp, est.hand_kp)]
     assert tuple(d) == est.direction
     rec = result_to_dict(res)
     assert set(rec) == {"t", "face", "hand", "pitch_deg", "yaw_deg", "goal", "reason"}
@@ -275,7 +329,7 @@ _RECORD_FLOATS = [math.inf, -math.inf, math.nan, 1e-5, 1e-4, 1e16, math.nextafte
 def test_result_line_keeps_the_stdlib_bytes(value, encoder, monkeypatch):
     if encoder == "json":
         monkeypatch.setattr(frames, "orjson", None)
-    est = PointingEstimate(wp(value, 1.0, 2.0), wp(0.5, 1.5, value), (0.0, 0.0, 0.0), value, 3.0)
+    est = PointingEstimate((value, 1.0, 2.0), (0.5, 1.5, value), (0.0, 0.0, 0.0), value, 3.0)
     record = FrameResult(0.5, est, GoalPoint(1.0, value), None)
     line = result_to_line(record)
     assert line == json.dumps(result_to_dict(record), separators=(",", ":"))
@@ -289,8 +343,7 @@ def test_result_line_keeps_the_stdlib_bytes(value, encoder, monkeypatch):
        reason=st.sampled_from([None, "no_hand", "\u00e9", "\x7f"]))
 def test_result_line_keeps_the_stdlib_bytes_for_any_floats(values, shape, reason):
     t, *rest = values
-    est = PointingEstimate(np.array(rest[0:3]), np.array(rest[3:6]), (0.0, 0.0, 0.0),
-                           rest[6], rest[7])
+    est = PointingEstimate(tuple(rest[0:3]), tuple(rest[3:6]), (0.0, 0.0, 0.0), rest[6], rest[7])
     goal = GoalPoint(rest[8], rest[9])
     record = {"estimate": FrameResult(t, est, goal, reason),
               "no_goal": FrameResult(t, est, None, reason),
@@ -399,7 +452,7 @@ def _bits(res):
     if goal is not None:
         floats += [goal.x, goal.y]
     return (res.reason, est is None, goal is None, struct.pack(f"<{len(floats)}d", *floats),
-            None if est is None else (est.face_kp.tobytes(), est.hand_kp.tobytes()))
+            None if est is None else struct.pack("<6d", *est.face_kp, *est.hand_kp))
 
 
 def _assert_matches_one_pass_per_strategy(frame, strategies, intr):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -359,7 +360,7 @@ def test_keypoint_matches_the_np_mean_oracle_bit_for_bit(n, seed, strategy, intr
     def outcome(estimate):
         try:
             target = roi if strategy is KeypointStrategy.DBSCAN_CLUSTER else cobb_filter(roi)
-            return estimate(target, strategy, intr).tobytes()
+            return struct.pack("<3d", *estimate(target, strategy, intr))
         except NoEstimate as exc:
             return exc.reason
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     angle_cell_means_reference, experiment_a_reference, experiment_b_reference,
-    goal_cell_summary_reference, ray_plane_oracle, synthesize_frame_reference,
+    goal_cell_summary_reference, pose_geometry_reference, ray_plane_oracle,
+    synthesize_frame_reference,
 )
 from pointray.frames import RoiPointSet, dumps_line, frame_to_line
 from pointray.geometry import default_intrinsics, from_json
@@ -24,6 +25,7 @@ from pointray.simulate import (
     Scenario,
     ScenarioError,
     SubjectModel,
+    _pose_geometry,
     default_scenario,
     direction_unit,
     run_experiment_a,
@@ -101,10 +103,10 @@ def test_reach_keeps_ray_through_fingertip():
     for pitch, yaw in [(10, 0), (45, 120), (80, -60), (0, 180)]:
         u = direction_unit(pitch, yaw)
         reach = SUBJECT.reach_along(u)
-        eye = np.array([0.0, 0.0, SUBJECT.eye_height])
-        shoulder = eye - np.array([0.0, 0.0, SUBJECT.shoulder_drop])
-        fingertip = eye + reach * u
-        assert np.linalg.norm(fingertip - shoulder) == pytest.approx(SUBJECT.arm_length)
+        eye = (0.0, 0.0, SUBJECT.eye_height)
+        shoulder = [e - d for e, d in zip(eye, (0.0, 0.0, SUBJECT.shoulder_drop))]
+        fingertip = [e + reach * c for e, c in zip(eye, u)]
+        assert math.dist(fingertip, shoulder) == pytest.approx(SUBJECT.arm_length)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +198,33 @@ def test_signed_zero_bearings_are_different_poses(aim):
     assert math.copysign(1.0, truth.eye[0]) == -1.0
 
 
+def _truth_bits(truth):
+    """A truth's floats as IEEE bytes (so -0.0 and NaN count), and whether it has a goal."""
+    floats = [*truth.eye, *truth.fingertip, truth.pitch_deg, truth.yaw_deg, *truth.ray,
+              *(truth.goal or ())]
+    return truth.goal is None, struct.pack(f"<{len(floats)}d", *floats)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    position=st.tuples(st.floats(0.1, 8.0), st.sampled_from([0.0, -0.0]) | st.floats(-60.0, 60.0)),
+    direction=st.tuples(st.sampled_from([0.0, -0.0, 90.0, -90.0]) | st.floats(-90.0, 90.0),
+                        st.sampled_from([0.0, -0.0, 180.0]) | st.floats(-180.0, 180.0)),
+    target=st.tuples(st.sampled_from([0.0, -0.0]) | st.floats(-6.0, 6.0),
+                     st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 10.0)),
+    use_target=st.booleans(),
+)
+def test_pose_geometry_matches_the_numpy_reference_bit_for_bit(position, direction, target,
+                                                                use_target):
+    aim = (None, target) if use_target else (direction, None)
+    truth = _pose_geometry(SUBJECT, position, *aim)
+    for point in (truth.eye, truth.fingertip, truth.ray):
+        assert type(point) is tuple and len(point) == 3
+        assert all(type(c) is float for c in point)
+    assert truth.goal is None or all(type(c) is float for c in truth.goal)
+    assert _truth_bits(truth) == _truth_bits(pose_geometry_reference(SUBJECT, position, *aim))
+
+
 def test_frames_of_a_pose_share_a_read_only_truth(intr):
     pose, noise, g = (2.5, 10.0), NoiseModel(), rng(4)
     (_, t1), (_, t2) = (
@@ -203,9 +232,9 @@ def test_frames_of_a_pose_share_a_read_only_truth(intr):
         for _ in range(2)
     )
     assert t1 is t2
-    for array in (t1.eye, t1.fingertip):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
+    for point in (t1.eye, t1.fingertip):
+        with pytest.raises(TypeError):
+            point[0] = 0.0
 
 
 def test_a_changed_pose_list_is_rendered_anew(intr):
@@ -217,7 +246,7 @@ def test_a_changed_pose_list_is_rendered_anew(intr):
                                 intr=intr, rng=rng())
     _, want = synthesize_frame_reference(SUBJECT, (2.5, -10.0), direction=(40.0, 10.0),
                                          noise=noise, intr=intr, rng=rng())
-    assert after.eye.tolist() == want.eye.tolist() != before.eye.tolist()
+    assert list(after.eye) == want.eye.tolist() != list(before.eye)
     assert after.ray == want.ray
 
 
