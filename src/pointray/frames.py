@@ -377,9 +377,8 @@ def dumps_line(obj) -> str:
 def _roi_to_dict(roi: RoiPointSet) -> dict:
     bb = roi.source_bbox
     return {
-        # corners computed with numpy are np.float64, which orjson does not write
-        "bbox": [float(bb.u_min), float(bb.v_min), float(bb.u_max), float(bb.v_max)],
-        "conf": float(bb.confidence),
+        "bbox": [bb.u_min, bb.v_min, bb.u_max, bb.v_max],
+        "conf": bb.confidence,
         # the array goes in whole, so that dumps_line checks it in one pass
         "samples": roi.samples,
     }

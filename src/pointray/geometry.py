@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib import resources
 
 
@@ -100,9 +100,6 @@ class CameraIntrinsics:
         check_fields(self, fx="(0, inf)", fy="(0, inf)", width="[1, inf)", height="[1, inf)",
                      cx="[0, width)", cy="[0, height)", camera_height="(0, inf)",
                      hfov_deg="[0, 180)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def default_intrinsics() -> CameraIntrinsics:

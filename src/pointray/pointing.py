@@ -60,20 +60,12 @@ class PointingEstimate:
 
 
 @dataclass(frozen=True)
-class GoalPoint:
-    """Ground-plane intersection of the pointing ray (world frame, Z = 0)."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class FrameResult:
     """Outcome of one frame: an estimate and/or a machine-readable reason."""
 
     timestamp: float
     estimate: PointingEstimate | None
-    goal: GoalPoint | None
+    goal: tuple[float, float] | None  # world (X, Y) on the ground plane Z = 0
     reason: str | None
 
 
@@ -106,7 +98,7 @@ def ray_angles(ray) -> tuple[float, float]:
     return pitch, yaw
 
 
-def ground_intersection_world(face_kp, hand_kp) -> GoalPoint | None:
+def ground_intersection_world(face_kp, hand_kp) -> tuple[float, float] | None:
     """Intersect the eye-through-hand ray with the ground plane Z = 0.
 
     Requires the face to sit above the hand in world height so the ray
@@ -117,7 +109,7 @@ def ground_intersection_world(face_kp, hand_kp) -> GoalPoint | None:
     if pz < MIN_DESCENT:
         return None
     t = fz / pz
-    return GoalPoint(fx - t * (fx - hx), fy - t * (fy - hy))
+    return fx - t * (fx - hx), fy - t * (fy - hy)
 
 
 def estimate_strategies(
@@ -195,7 +187,7 @@ def result_to_dict(result: FrameResult) -> dict:
         "hand": None if est is None else est.hand_kp,
         "pitch_deg": None if est is None else est.pitch_deg,
         "yaw_deg": None if est is None else est.yaw_deg,
-        "goal": None if result.goal is None else [result.goal.x, result.goal.y],
+        "goal": result.goal,
         "reason": result.reason,
     }
 

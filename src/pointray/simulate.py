@@ -25,7 +25,7 @@ import math
 import operator
 import reprlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -87,10 +87,6 @@ class NoiseModel:
         frac = (z - self.dropout_start_m) / (self.dropout_end_m - self.dropout_start_m)
         return self.p_drop_max * min(frac, 1.0)
 
-    @classmethod
-    def noiseless(cls) -> "NoiseModel":
-        return cls(sigma0=0.0, p_drop_max=0.0, beta=0.0, bbox_jitter_px=0.0)
-
 
 @dataclass(frozen=True)
 class SubjectModel:
@@ -142,9 +138,6 @@ class Scenario:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def noiseless(self) -> "Scenario":
-        return replace(self, noise=NoiseModel.noiseless())
 
 
 def default_scenario() -> Scenario:
@@ -564,9 +557,8 @@ def _run_cell_b(args) -> GoalCellResult:
         if result.goal is None or truth.goal is None:
             continue
         goals += 1
-        err[k] = 100.0 * math.hypot(
-            result.goal.x - truth.goal[0], result.goal.y - truth.goal[1]
-        )
+        (gx, gy), (tx, ty) = result.goal, truth.goal
+        err[k] = 100.0 * math.hypot(gx - tx, gy - ty)
     position = scenario.positions[pos_idx]
     return GoalCellResult(
         range_m=position[0],
@@ -686,5 +678,5 @@ def truth_to_dict(truth: GroundTruth, timestamp: float) -> dict:
         "fingertip": truth.fingertip,
         "pitch_deg": truth.pitch_deg,
         "yaw_deg": truth.yaw_deg,
-        "goal": None if truth.goal is None else [truth.goal[0], truth.goal[1]],
+        "goal": truth.goal,
     }

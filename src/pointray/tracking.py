@@ -253,8 +253,7 @@ class CommittedGoal:
     """A goal point the gate released for navigation."""
 
     timestamp: float
-    x: float
-    y: float
+    goal: tuple[float, float]  # world (X, Y), the window's mean
     cov_trace: float
 
 
@@ -279,8 +278,8 @@ class GoalGate:
         while self._entries and self._entries[0][0] < cutoff:
             self._entries.popleft()
         if result.goal is not None:  # a goal comes with the estimate it was cast from
-            est = result.estimate
-            self._entries.append((t, result.goal.x, result.goal.y, est.pitch_deg, est.yaw_deg))
+            (x, y), est = result.goal, result.estimate
+            self._entries.append((t, x, y, est.pitch_deg, est.yaw_deg))
         n = len(self._entries)
         if n < self.params.window:
             return None
@@ -296,7 +295,7 @@ class GoalGate:
         if trace >= threshold:
             return None
         self._entries.clear()
-        return CommittedGoal(t, float(np.mean(xs)), float(np.mean(ys)), trace)
+        return CommittedGoal(t, (float(np.mean(xs)), float(np.mean(ys))), trace)
 
 
 def _yaw_deviations(yaw_deg: np.ndarray) -> np.ndarray:
@@ -314,6 +313,6 @@ def _yaw_deviations(yaw_deg: np.ndarray) -> np.ndarray:
 def commit_to_dict(commit: CommittedGoal) -> dict:
     return {
         "t": commit.timestamp,
-        "committed_goal": [commit.x, commit.y],
+        "committed_goal": commit.goal,
         "cov_trace": commit.cov_trace,
     }

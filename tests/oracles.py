@@ -37,12 +37,15 @@ from pointray.roi import (
     select_target_cluster,
 )
 from pointray.simulate import (
-    BBOX_MARGIN, FACE_SIZE_M, FG_DISC_RATIO, HAND_SIZE_M, WALL_OFFSET_M, GroundTruth,
+    BBOX_MARGIN, FACE_SIZE_M, FG_DISC_RATIO, HAND_SIZE_M, WALL_OFFSET_M, GroundTruth, NoiseModel,
     _roi_layout, synthesize_frame,
 )
 from pointray.tracking import (
     GATE_MODE_GOAL, INIT_SPEED_SIGMA, CommittedGoal, GoalGate, _yaw_deviations,
 )
+
+# no noise, no dropout and no bbox jitter: the pipeline is analytically exact
+NOISELESS = NoiseModel(sigma0=0.0, p_drop_max=0.0, beta=0.0, bbox_jitter_px=0.0)
 
 
 def _dbscan_components(depths, eps: float, min_pts: int):
@@ -252,7 +255,7 @@ class GoalGateReference(GoalGate):
             self._entries.popleft()
         if result.goal is not None:
             est = result.estimate
-            self._entries.append((t, result.goal.x, result.goal.y, est.pitch_deg, est.yaw_deg))
+            self._entries.append((t, *result.goal, est.pitch_deg, est.yaw_deg))
         if len(self._entries) < self.params.window:
             return None
         _, xs, ys, pitches, yaws = map(np.array, zip(*self._entries))
@@ -265,7 +268,7 @@ class GoalGateReference(GoalGate):
         if trace >= threshold:
             return None
         self._entries.clear()
-        return CommittedGoal(t, float(np.mean(xs)), float(np.mean(ys)), trace)
+        return CommittedGoal(t, (float(np.mean(xs)), float(np.mean(ys))), trace)
 
 
 def kalman_steady_state_gain(sigma_accel: float, sigma_meas: float, dt: float,
@@ -423,7 +426,7 @@ def experiment_b_reference(scenario, intr, params, strategy, frames):
                 if goal is None or truth.goal is None:
                     continue
                 goals += 1
-                err[k] = 100.0 * math.hypot(goal.x - truth.goal[0], goal.y - truth.goal[1])
+                err[k] = 100.0 * math.hypot(goal[0] - truth.goal[0], goal[1] - truth.goal[1])
             yield goals, err
 
 

@@ -12,13 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import collinearity_residual, dbscan_reference, ray_plane_oracle
+from oracles import NOISELESS, collinearity_residual, dbscan_reference, ray_plane_oracle
 from pointray.cli import EXIT_OK, main
 from pointray.geometry import default_intrinsics
 from pointray.pointing import (
     EstimatorParams,
     FrameResult,
-    GoalPoint,
     PointingEstimate,
     angular_error_deg,
     estimate_frame,
@@ -69,7 +68,7 @@ def _pooled_mean_err(cells, range_m, strategy):
 
 
 def test_criterion_01_noiseless_geometry_exactness():
-    scenario = default_scenario().noiseless()
+    scenario = dataclasses.replace(default_scenario(), noise=NOISELESS)
     start = time.perf_counter()
     worst_angle = 0.0
     worst_goal_cm = 0.0
@@ -88,7 +87,7 @@ def test_criterion_01_noiseless_geometry_exactness():
                     worst_angle = max(worst_angle, err)
                     assert truth.goal is not None and result.goal is not None
                     goal_cm = 100.0 * math.hypot(
-                        result.goal.x - truth.goal[0], result.goal.y - truth.goal[1]
+                        result.goal[0] - truth.goal[0], result.goal[1] - truth.goal[1]
                     )
                     worst_goal_cm = max(worst_goal_cm, goal_cm)
     elapsed = time.perf_counter() - start
@@ -114,8 +113,8 @@ def test_criterion_02_ground_plane_oracle_equivalence():
         if expected is None:
             continue
         goal = ground_intersection_world(f, h)
-        worst = max(worst, math.hypot(goal.x - expected[0], goal.y - expected[1]))
-        worst_resid = max(worst_resid, collinearity_residual((goal.x, goal.y), f, h))
+        worst = max(worst, math.hypot(goal[0] - expected[0], goal[1] - expected[1]))
+        worst_resid = max(worst_resid, collinearity_residual(goal, f, h))
         checked += 1
     elapsed = time.perf_counter() - start
     assert worst < 1e-9, f"worst oracle deviation {worst} m"
@@ -246,19 +245,19 @@ def test_criterion_08_gate_contract():
     gate = GoalGate(GateParams())
     commits = []
     for i in range(30):
-        c = gate.update(_goal_result(i / 30.0, GoalPoint(0.75, 2.5)))
+        c = gate.update(_goal_result(i / 30.0, (0.75, 2.5)))
         if c:
             commits.append(c)
     assert len(commits) == 1 and commits[0].cov_trace == 0.0
-    assert (commits[0].x, commits[0].y) == (0.75, 2.5)
+    assert commits[0].goal == (0.75, 2.5)
 
     gate = GoalGate(GateParams())
     for i in range(29):
-        assert gate.update(_goal_result(i / 30.0, GoalPoint(0.75, 2.5))) is None
+        assert gate.update(_goal_result(i / 30.0, (0.75, 2.5))) is None
 
     gate = GoalGate(GateParams())
     for i in range(300):
-        g = GoalPoint(0.5 if i % 2 else -0.5, 2.0)
+        g = (0.5 if i % 2 else -0.5, 2.0)
         assert gate.update(_goal_result(i / 30.0, g)) is None
 
     # full window but above tau: never commits; below tau: commits once
@@ -266,7 +265,7 @@ def test_criterion_08_gate_contract():
     rng = np.random.default_rng(99)
     committed = 0
     for i in range(60):
-        g = GoalPoint(float(rng.normal(0, 0.002)), float(2 + rng.normal(0, 0.002)))
+        g = (float(rng.normal(0, 0.002)), float(2 + rng.normal(0, 0.002)))
         if gate.update(_goal_result(i / 30.0, g)):
             committed += 1
     assert committed >= 1

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import pointray
-from pointray import cli
+from oracles import NOISELESS
+from pointray import cli, frames
 from pointray.cli import EXIT_BROKEN_PIPE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from pointray.frames import frame_to_line
 from pointray.simulate import NoiseModel, Scenario, SubjectModel, default_scenario, simulate_log
@@ -41,7 +42,7 @@ def scenario_file(tmp_path):
 @pytest.fixture()
 def noiseless_log(tmp_path):
     intr = default_intrinsics()
-    sc = small_scenario(NoiseModel.noiseless())
+    sc = small_scenario(NOISELESS)
     path = tmp_path / "frames.jsonl"
     with open(path, "w") as f:
         for frame, _ in simulate_log(sc, intr):
@@ -200,7 +201,7 @@ def test_estimate_refuses_to_write_over_its_input(source, noiseless_log, tmp_pat
 
 def intrinsics_file(tmp_path, name="intrinsics.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(default_intrinsics().to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(default_intrinsics())))
     return str(path)
 
 
@@ -289,7 +290,7 @@ def test_estimate_with_tracking_and_gate(tmp_path, capsys):
     intr = default_intrinsics()
     sc = Scenario(subject=SubjectModel(), positions=((2.0, 0.0),),
                   directions=((35.0, 0.0),), frames_per_pose=10, seed=3,
-                  noise=NoiseModel.noiseless())
+                  noise=NOISELESS)
     src = tmp_path / "steady.jsonl"
     with open(src, "w") as f:
         for frame, _ in simulate_log(sc, intr):
@@ -304,6 +305,41 @@ def test_estimate_with_tracking_and_gate(tmp_path, capsys):
     commits = [r for r in records if "committed_goal" in r]
     assert commits, "expected at least one committed goal"
     assert all("cov_trace" in c for c in commits)
+
+
+# A face and a hand sampled 0.02 px right of the principal point: the goal's x
+# is 2.6e-05, which orjson writes as 0.000026, so the record takes the stdlib branch
+_TINY_GOAL_FRAME = {
+    "face": {"bbox": [300.02, 130.0, 340.02, 170.0], "conf": 0.9,
+             "samples": [[320.02, 150.0, 2.0]] * 4},
+    "hands": [{"bbox": [305.02, 215.0, 335.02, 245.0], "conf": 0.9,
+               "samples": [[320.02, 230.0, 1.7]] * 4}],
+}
+
+
+@pytest.mark.parametrize("mode", ["goal", "direction"])
+def test_gated_estimate_writes_the_same_bytes_without_orjson(mode, tmp_path, monkeypatch):
+    pytest.importorskip("orjson")
+    sc = Scenario(subject=SubjectModel(), positions=((2.0, 0.0),), floor_targets=((0.5, 2.0),),
+                  frames_per_pose=40, seed=3)
+    log = tmp_path / "targets.jsonl"
+    with open(log, "w") as f:
+        for frame, _ in simulate_log(sc, default_intrinsics(), use_targets=True):
+            f.write(frame_to_line(frame) + "\n")
+        f.write(json.dumps({"t": 40 / 30, **_TINY_GOAL_FRAME}) + "\n")
+    argv = ["estimate", "-i", str(log), "--track", "--gate", "--gate-mode", mode]
+    outs = []
+    for name in ("orjson", "json"):
+        if name == "json":
+            monkeypatch.setattr(frames, "orjson", None)
+        out = tmp_path / f"{name}.jsonl"
+        assert main([*argv, "-o", str(out)]) == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    records = read_jsonl(tmp_path / "json.jsonl")
+    assert any("committed_goal" in r for r in records)
+    [tiny] = [r for r in records if r["t"] == 40 / 30 and "goal" in r]
+    assert 0.0 < abs(tiny["goal"][0]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +425,8 @@ def test_simulate_invalid_scenario_lists_fields(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--scenario", "{scenario}", "-o", "{out}", "--seed", "-1"],
+    # an int beyond float range passes main's check but not the scenario's
+    ["simulate", "--scenario", "{scenario}", "-o", "{out}", "--seed", "1" + "0" * 400],
     ["experiment-a", "--scenario", "{scenario}", "--outdir", "{out}", "--seed", "-1"],
     ["experiment-b", "--scenario", "{scenario}", "--outdir", "{out}", "--seed", "-1"],
     ["bench", "--frames", "1", "--seed", "-1"],
@@ -401,7 +439,7 @@ def test_simulate_invalid_scenario_lists_fields(tmp_path, capsys):
     ["simulate", "--scenario", "{tmp}/direction.json", "-o", "{out}"],
     ["simulate", "--scenario", "{tmp}/target.json", "-o", "{out}", "--aim", "targets"],
     ["experiment-a", "--scenario", "{tmp}/word.json", "--outdir", "{out}"],
-], ids=["simulate-seed", "experiment-a-seed", "experiment-b-seed", "bench-seed",
+], ids=["simulate-seed", "simulate-huge-seed", "experiment-a-seed", "experiment-b-seed", "bench-seed",
         "bench-samples", "experiment-a-jobs", "experiment-b-jobs", "scenario-seed",
         "position-word", "position-single", "direction-word", "target-word",
         "experiment-a-position"])
@@ -567,7 +605,7 @@ def test_frames_below_one_is_usage_error(scenario_file, tmp_path, capsys):
 def test_bad_paths_and_config_files_end_in_one_error_line(
     argv, code, scenario_file, noiseless_log, tmp_path, capsys
 ):
-    intrinsics = default_intrinsics().to_dict()
+    intrinsics = dataclasses.asdict(default_intrinsics())
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "null_fx.json").write_text(json.dumps(dict(intrinsics, fx=None)))
     (tmp_path / "inf_width.json").write_text(json.dumps(dict(intrinsics, width=math.inf)))
@@ -584,7 +622,7 @@ def test_bad_paths_and_config_files_end_in_one_error_line(
 @pytest.mark.parametrize("field", ["fx", "fy", "camera_height"])
 def test_non_finite_intrinsics_end_in_one_error_line(field, value, noiseless_log, tmp_path, capsys):
     path = tmp_path / "intrinsics.json"
-    path.write_text(json.dumps(dict(default_intrinsics().to_dict(), **{field: value})))
+    path.write_text(json.dumps(dict(dataclasses.asdict(default_intrinsics()), **{field: value})))
     out = tmp_path / "out.jsonl"
     argv = ["estimate", "-i", noiseless_log, "-o", str(out), "--intrinsics", str(path)]
     assert main(argv) == EXIT_USAGE
@@ -610,7 +648,7 @@ def test_closed_stdout_ends_estimate_without_a_traceback(tmp_path):
     # writing when its reader goes away
     log = tmp_path / "frames.jsonl"
     with open(log, "w") as f:
-        for frame, _ in simulate_log(small_scenario(NoiseModel.noiseless(), frames=250),
+        for frame, _ in simulate_log(small_scenario(NOISELESS, frames=250),
                                      default_intrinsics()):
             f.write(frame_to_line(frame) + "\n")
     src = str(Path(pointray.__file__).parents[1])

@@ -2,6 +2,7 @@
 through the command line, and the bundled files read back as written."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -17,10 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pointray
+from oracles import NOISELESS
 from pointray.cli import EXIT_OK, EXIT_USAGE, main
 from pointray.frames import frame_to_line
 from pointray.geometry import default_intrinsics
-from pointray.simulate import NoiseModel, Scenario, default_scenario, simulate_log
+from pointray.simulate import Scenario, default_scenario, simulate_log
 
 
 def _bundled(name: str) -> dict:
@@ -104,7 +106,7 @@ def small_log(tmp_path_factory):
     path = tmp_path_factory.mktemp("log") / "frames.jsonl"
     base = default_scenario()
     scenario = Scenario(positions=base.positions[12:13], directions=base.directions[:1],
-                        frames_per_pose=2, noise=NoiseModel.noiseless())
+                        frames_per_pose=2, noise=NOISELESS)
     with open(path, "w", encoding="utf-8") as f:
         for frame, _ in simulate_log(scenario, default_intrinsics()):
             f.write(frame_to_line(frame) + "\n")
@@ -155,7 +157,7 @@ def test_every_field_either_runs_or_ends_in_one_error_line(small_log, case):
 def test_bundled_files_give_back_their_own_values_and_types(name, load):
     # json.dumps writes 640 and 640.0 apart, so equal text means that width,
     # height, seed, frames_per_pose and n_min stay int and the rest float
-    assert json.dumps(load().to_dict()) == json.dumps(_bundled(name))
+    assert json.dumps(dataclasses.asdict(load())) == json.dumps(_bundled(name))
 
 
 def test_loaders_read_the_data_of_their_own_package(tmp_path):

@@ -24,6 +24,7 @@ from pointray.frames import (
 from pointray.geometry import default_intrinsics
 from pointray.roi import NoEstimate, cobb_filter
 from pointray.simulate import NoiseModel, SubjectModel, default_scenario, synthesize_frame
+from pointray.tracking import DetectionTracker
 
 
 def make_roi(label="hand", bbox=(100, 100, 200, 180), samples=((150, 140, 2.0),)):
@@ -579,17 +580,26 @@ def test_frame_to_line_writes_a_simulated_frame_through_orjson(orjson_calls):
     frame, _ = synthesize_frame(SubjectModel(), (2.0, 0.0), direction=(35.0, 10.0),
                                 noise=NoiseModel(), intr=default_intrinsics(),
                                 rng=np.random.default_rng(3), timestamp=0.5)
-    # a tracker's smoothed box has np.float64 corners, which orjson refuses
+    # a tracker's smoothed boxes have float corners and confidences, as parsed
+    # and simulated ones do, so the encoder need not convert them
+    tracker = DetectionTracker()
+    tracker.smooth(frame)
+    smoothed = tracker.smooth(dataclasses.replace(frame, timestamp=frame.timestamp + 1 / 30))
+    for roi in (smoothed.face, *smoothed.hands):
+        bb = roi.source_bbox
+        assert {type(x) for x in (bb.u_min, bb.v_min, bb.u_max, bb.v_max, bb.confidence)} == {float}
+    # a library caller's box with np.float64 corners, which orjson refuses, is
+    # still written with the stdlib's bytes
     bb = frame.face.source_bbox
     corners = map(np.float64, (bb.u_min, bb.v_min, bb.u_max, bb.v_max))
-    tracked = DetectionFrame(frame.timestamp, frame.face.with_bbox(
+    numpy_box = DetectionFrame(frame.timestamp, frame.face.with_bbox(
         BoundingBox(*corners, bb.label, bb.confidence)), frame.hands)
-    assert type(tracked.face.source_bbox.u_min) is np.float64
-    assert len(tracked.face) == len(frame.face)
-    line = frame_to_line(tracked)
-    assert line == _stdlib_frame_line(tracked)
+    assert type(numpy_box.face.source_bbox.u_min) is np.float64
+    assert len(numpy_box.face) == len(frame.face)
+    line = frame_to_line(numpy_box)
+    assert line == _stdlib_frame_line(numpy_box)
     assert line == frame_to_line(frame)
-    assert len(orjson_calls) == 2
+    assert len(orjson_calls) == 1  # the simulated frame's; the numpy box goes to the stdlib
 
 
 def test_frame_to_line_writes_a_tiny_depth_with_the_stdlib(orjson_calls):

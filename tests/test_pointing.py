@@ -18,7 +18,6 @@ from pointray.frames import BoundingBox, DetectionFrame, RoiPointSet
 from pointray.pointing import (
     EstimatorParams,
     FrameResult,
-    GoalPoint,
     PointingEstimate,
     angular_error_deg,
     estimate_frame,
@@ -136,15 +135,15 @@ def test_ground_intersection_worked_example():
     face = wp(0.0, 0.0, 1.6)
     hand = wp(0.0, 0.3, 1.2)
     goal = ground_intersection_world(face, hand)
-    assert goal.x == pytest.approx(0.0, abs=1e-12)
-    assert goal.y == pytest.approx(1.2, abs=1e-12)
+    assert goal[0] == pytest.approx(0.0, abs=1e-12)
+    assert goal[1] == pytest.approx(1.2, abs=1e-12)
     oracle = ray_plane_oracle((0, 0, 1.6), (0, 0.3, 1.2))
-    assert np.allclose([goal.x, goal.y], oracle, atol=1e-12)
+    assert np.allclose(goal, oracle, atol=1e-12)
 
 
 def test_ground_intersection_vertical_ray():
     goal = ground_intersection_world(wp(0.5, 2.0, 1.6), wp(0.5, 2.0, 1.2))
-    assert (goal.x, goal.y) == (0.5, 2.0)
+    assert goal == (0.5, 2.0)
 
 
 def test_ground_intersection_ascending_is_none():
@@ -163,8 +162,8 @@ def test_ground_intersection_matches_oracle_bulk():
         if oracle is None:
             continue
         goal = ground_intersection_world(f, h)
-        assert math.hypot(goal.x - oracle[0], goal.y - oracle[1]) < 1e-9
-        assert collinearity_residual((goal.x, goal.y), f, h) < 1e-9
+        assert math.hypot(goal[0] - oracle[0], goal[1] - oracle[1]) < 1e-9
+        assert collinearity_residual(goal, f, h) < 1e-9
         checked += 1
 
 
@@ -177,8 +176,8 @@ def test_goal_translates_with_keypoints():
         off = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3), 0.0])
         g1 = ground_intersection_world(f, h)
         g2 = ground_intersection_world(f + off, h + off)
-        assert g2.x - g1.x == pytest.approx(off[0], abs=1e-9)
-        assert g2.y - g1.y == pytest.approx(off[1], abs=1e-9)
+        assert g2[0] - g1[0] == pytest.approx(off[0], abs=1e-9)
+        assert g2[1] - g1[1] == pytest.approx(off[1], abs=1e-9)
 
 
 # A keypoint coordinate: signed zeros, the infinities, NaN and values whose
@@ -222,7 +221,7 @@ def test_keypoint_ray_matches_the_numpy_reference_bit_for_bit(pair, intr):
     goal = ground_intersection_world(face_kp, hand_kp)
     assert (goal is None) == (want_goal is None)
     if goal is not None:
-        assert _float_bits((goal.x, goal.y)) == _float_bits(want_goal)
+        assert _float_bits(goal) == _float_bits(want_goal)
     if res.estimate is None:  # a zero-length direction meets nothing
         assert res.reason == "no_ground_hit" and not any(want_direction)
         return
@@ -230,7 +229,7 @@ def test_keypoint_ray_matches_the_numpy_reference_bit_for_bit(pair, intr):
     assert _float_bits(res.estimate.direction) == _float_bits(want_direction)
     assert (res.goal is None) == (goal is None)
     if goal is not None:
-        assert _float_bits((res.goal.x, res.goal.y)) == _float_bits(want_goal)
+        assert _float_bits(res.goal) == _float_bits(want_goal)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +329,7 @@ def test_result_line_keeps_the_stdlib_bytes(value, encoder, monkeypatch):
     if encoder == "json":
         monkeypatch.setattr(frames, "orjson", None)
     est = PointingEstimate((value, 1.0, 2.0), (0.5, 1.5, value), (0.0, 0.0, 0.0), value, 3.0)
-    record = FrameResult(0.5, est, GoalPoint(1.0, value), None)
+    record = FrameResult(0.5, est, (1.0, value), None)
     line = result_to_line(record)
     assert line == json.dumps(result_to_dict(record), separators=(",", ":"))
     # a non-finite value is still written as the stdlib writes it
@@ -344,7 +343,7 @@ def test_result_line_keeps_the_stdlib_bytes(value, encoder, monkeypatch):
 def test_result_line_keeps_the_stdlib_bytes_for_any_floats(values, shape, reason):
     t, *rest = values
     est = PointingEstimate(tuple(rest[0:3]), tuple(rest[3:6]), (0.0, 0.0, 0.0), rest[6], rest[7])
-    goal = GoalPoint(rest[8], rest[9])
+    goal = (rest[8], rest[9])
     record = {"estimate": FrameResult(t, est, goal, reason),
               "no_goal": FrameResult(t, est, None, reason),
               "no_estimate": FrameResult(t, None, None, reason)}[shape]
@@ -370,7 +369,7 @@ def test_estimate_frame_goal_collinearity(intr):
     frame = DetectionFrame(0.0, face_roi(), (hand_roi(),))
     res = estimate_frame(frame, KeypointStrategy.MEAN_DEPTH, PARAMS, intr)
     est = res.estimate
-    assert collinearity_residual((res.goal.x, res.goal.y), est.face_kp, est.hand_kp) < 1e-9
+    assert collinearity_residual(res.goal, est.face_kp, est.hand_kp) < 1e-9
 
 
 def test_estimate_frame_deterministic(intr):
@@ -450,7 +449,7 @@ def _bits(res):
     if est is not None:
         floats += [*est.direction, est.pitch_deg, est.yaw_deg]
     if goal is not None:
-        floats += [goal.x, goal.y]
+        floats += goal
     return (res.reason, est is None, goal is None, struct.pack(f"<{len(floats)}d", *floats),
             None if est is None else struct.pack("<6d", *est.face_kp, *est.hand_kp))
 

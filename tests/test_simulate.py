@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    angle_cell_means_reference, experiment_a_reference, experiment_b_reference,
+    NOISELESS, angle_cell_means_reference, experiment_a_reference, experiment_b_reference,
     goal_cell_summary_reference, pose_geometry_reference, ray_plane_oracle,
     synthesize_frame_reference,
 )
@@ -291,7 +291,7 @@ def test_ground_truth_self_consistency(intr):
 
 
 def test_noiseless_recovery_all_strategies(intr):
-    nm = NoiseModel.noiseless()
+    nm = NOISELESS
     for pos in [(1.5, -20.0), (3.5, 0.0), (5.5, 20.0)]:
         frame, truth = synthesize_frame(SUBJECT, pos, direction=(40.0, 30.0),
                                         noise=nm, intr=intr, rng=rng(4))
@@ -416,7 +416,7 @@ def small_scenario(noise=None, frames=3):
 
 
 def test_experiment_a_noiseless_grid(intr):
-    sc = small_scenario(NoiseModel.noiseless())
+    sc = small_scenario(NOISELESS)
     cells = run_experiment_a(sc, intr)
     assert len(cells) == 2 * 2 * len(KeypointStrategy)
     for c in cells:
@@ -463,7 +463,7 @@ def test_grid_starts_no_more_workers_than_cells(intr, monkeypatch):
 
 
 def test_experiment_b_noiseless(intr):
-    sc = small_scenario(NoiseModel.noiseless())
+    sc = small_scenario(NOISELESS)
     cells = run_experiment_b(sc, intr, strategy=KeypointStrategy.MEAN_DEPTH)
     rows = summarize_goal_by_distance(cells)
     assert [r.distance_m for r in rows] == [1.5, 3.5]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import ArrayTrack, GoalGateReference, ScalarCvKalman, kalman_steady_state_gain
 from pointray import tracking
-from pointray.frames import BoundingBox, DetectionFrame, FrameFormatError, RoiPointSet
-from pointray.pointing import FrameResult, GoalPoint, PointingEstimate
+from pointray.frames import BoundingBox, DetectionFrame, FrameFormatError, RoiPointSet, dumps_line
+from pointray.pointing import FrameResult, PointingEstimate
 from pointray.tracking import (
     INIT_SPEED_SIGMA,
     CommittedGoal,
@@ -317,24 +317,24 @@ def feed(gate, goals, t0=0.0, rate=30.0):
 
 def test_gate_commits_on_identical_goals():
     gate = GoalGate(GateParams())
-    commits = feed(gate, [GoalPoint(1.0, 2.0)] * 30)
+    commits = feed(gate, [(1.0, 2.0)] * 30)
     assert len(commits) == 1
     c = commits[0]
-    assert (c.x, c.y) == (1.0, 2.0)
+    assert c.goal == (1.0, 2.0)
     assert c.cov_trace == 0.0
     # the window cleared after the commit: 29 more goals do not refill it
-    assert feed(gate, [GoalPoint(1.0, 2.0)] * 29, t0=1.0) == []
+    assert feed(gate, [(1.0, 2.0)] * 29, t0=1.0) == []
 
 
 def test_gate_never_commits_with_29():
     gate = GoalGate(GateParams())
-    commits = feed(gate, [GoalPoint(1.0, 2.0)] * 29)
+    commits = feed(gate, [(1.0, 2.0)] * 29)
     assert commits == []
 
 
 def test_gate_rejects_alternating_goals():
     gate = GoalGate(GateParams())
-    goals = [GoalPoint(0.5 if i % 2 else -0.5, 2.0) for i in range(120)]
+    goals = [(0.5 if i % 2 else -0.5, 2.0) for i in range(120)]
     commits = feed(gate, goals)
     assert commits == []
 
@@ -343,7 +343,7 @@ def test_gate_threshold_boundary():
     rng = np.random.default_rng(71)
     gate = GoalGate(GateParams(tau=0.01))
     # tight scatter: trace well below tau
-    goals = [GoalPoint(1.0 + rng.normal(0, 0.005), 2.0 + rng.normal(0, 0.005))
+    goals = [(1.0 + rng.normal(0, 0.005), 2.0 + rng.normal(0, 0.005))
              for _ in range(30)]
     commits = feed(gate, goals)
     assert len(commits) == 1
@@ -353,7 +353,7 @@ def test_gate_threshold_boundary():
 def test_gate_evicts_stale_entries():
     gate = GoalGate(GateParams())
     # 15 goals at 30 Hz, a 2-second silence, then 15 more: never 30 within 1 s
-    goals = [GoalPoint(1.0, 2.0)] * 15
+    goals = [(1.0, 2.0)] * 15
     commits = feed(gate, goals, t0=0.0)
     assert commits == []
     commits = feed(gate, goals, t0=2.5)
@@ -365,16 +365,16 @@ def test_gate_evicts_stale_entries():
 
 def test_gate_none_goal_keeps_window():
     gate = GoalGate(GateParams())
-    feed(gate, [GoalPoint(1.0, 2.0)] * 10)
+    feed(gate, [(1.0, 2.0)] * 10)
     assert gate.update(result(10 / 30.0, None)) is None
     # the 10 goals stay buffered: the window of 30 commits on the 20th further goal
-    commits = feed(gate, [GoalPoint(1.0, 2.0)] * 20, t0=11 / 30.0, rate=60.0)
+    commits = feed(gate, [(1.0, 2.0)] * 20, t0=11 / 30.0, rate=60.0)
     assert [c.timestamp for c in commits] == [11 / 30.0 + 19 / 60.0]
 
 
 def test_gate_one_commit_per_gesture():
     gate = GoalGate(GateParams())
-    commits = feed(gate, [GoalPoint(1.0, 2.0)] * 60)
+    commits = feed(gate, [(1.0, 2.0)] * 60)
     # refilling takes another full window after the first commit
     assert len(commits) == 2
 
@@ -386,7 +386,7 @@ def test_gate_direction_mode():
     commits = []
     # positions scatter widely but the angles are tight: direction mode commits
     for i in range(30):
-        goal = GoalPoint(float(rng.normal(0, 2)), float(rng.normal(3, 2)))
+        goal = (float(rng.normal(0, 2)), float(rng.normal(3, 2)))
         c = gate.update(result(i / 30.0, goal, pitch_deg=30.0 + rng.normal(0, 0.2),
                                yaw_deg=rng.normal(0, 0.2)))
         if c:
@@ -397,7 +397,7 @@ def test_gate_direction_mode():
     rng = np.random.default_rng(3)
     commits2 = []
     for i in range(30):
-        goal = GoalPoint(float(rng.normal(0, 2)), float(rng.normal(3, 2)))
+        goal = (float(rng.normal(0, 2)), float(rng.normal(3, 2)))
         c = gate2.update(result(i / 30.0, goal, pitch_deg=30.0, yaw_deg=0.0))
         if c:
             commits2.append(c)
@@ -411,7 +411,7 @@ def test_gate_direction_mode_wraps_yaw():
         commits = []
         for i in range(30):
             yaw = (179.9 if i % 2 else -179.9) + turn
-            c = gate.update(result(i / 30.0, GoalPoint(1.0, 2.0), pitch_deg=55.0, yaw_deg=yaw))
+            c = gate.update(result(i / 30.0, (1.0, 2.0), pitch_deg=55.0, yaw_deg=yaw))
             if c is not None:
                 commits.append(c)
         assert len(commits) == 1
@@ -422,7 +422,7 @@ def _direction_commits(yaws, offset):
     gate = GoalGate(GateParams(mode="direction"))
     commits = []
     for i, yaw in enumerate(yaws):
-        c = gate.update(result(i / 30.0, GoalPoint(1.0, 2.0), pitch_deg=40.0,
+        c = gate.update(result(i / 30.0, (1.0, 2.0), pitch_deg=40.0,
                                yaw_deg=yaw + offset))
         if c is not None:
             commits.append(c)
@@ -464,13 +464,13 @@ def _check_gate_against_oracle(seed, window, tau, mode):
     params = GateParams(window=window, tau=tau, tau_angle=tau, mode=mode, max_age_s=max_age_s)
     gate, reference = GoalGate(params), GoalGateReference(params)
     for i, t in enumerate(np.cumsum(gaps).tolist()):
-        goal = GoalPoint(float(x[i]), float(y[i])) if has_goal[i] else None
+        goal = (float(x[i]), float(y[i])) if has_goal[i] else None
         frame = result(t, goal, pitch_deg=float(pitch[i]), yaw_deg=float(yaw[i]))
         got, want = gate.update(frame), reference.update(frame)
         assert (got is None) == (want is None)
         if got is not None:
-            assert _bits(got.timestamp, got.x, got.y, got.cov_trace) == _bits(
-                want.timestamp, want.x, want.y, want.cov_trace)
+            assert _bits(got.timestamp, *got.goal, got.cov_trace) == _bits(
+                want.timestamp, *want.goal, want.cov_trace)
         # both take the same appends and differ only in what they drop from
         # the front, so equal lengths at every step mean equal windows
         assert len(gate._entries) == len(reference._entries)
@@ -524,5 +524,6 @@ def test_tracker_params_validation():
 
 
 def test_commit_record_schema():
-    rec = commit_to_dict(CommittedGoal(1.5, 0.25, 3.5, 0.002))
-    assert rec == {"t": 1.5, "committed_goal": [0.25, 3.5], "cov_trace": 0.002}
+    rec = commit_to_dict(CommittedGoal(1.5, (0.25, 3.5), 0.002))
+    assert rec == {"t": 1.5, "committed_goal": (0.25, 3.5), "cov_trace": 0.002}
+    assert dumps_line(rec) == '{"t":1.5,"committed_goal":[0.25,3.5],"cov_trace":0.002}'
