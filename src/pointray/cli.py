@@ -23,6 +23,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,20 +41,6 @@ from .reports import (
     polar_heatmap_svg,
     write_text,
 )
-from .simulate import (
-    NoiseModel,
-    Scenario,
-    ScenarioError,
-    SubjectModel,
-    default_scenario,
-    run_experiment_a,
-    run_experiment_b,
-    simulate_log,
-    summarize_goal_by_distance,
-    synthesize_frame,
-    truth_to_dict,
-    validate_scenario,
-)
 from .tracking import (
     DetectionTracker,
     GateParams,
@@ -61,6 +48,12 @@ from .tracking import (
     TrackerParams,
     commit_to_dict,
 )
+
+# The simulator, and the process pool behind --jobs, load only in the commands
+# that run them, so that estimate starts without either.
+if TYPE_CHECKING:
+    from .simulate import Scenario
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -189,6 +182,8 @@ def _load_scenario(args, *, use_targets: bool) -> tuple[CameraIntrinsics, Scenar
     ``experiment-b`` run, with ``--seed`` applied and the scenario checked for
     the aims the run renders: its floor targets when ``use_targets``, else its
     directions. Also the ``read`` list of ``_load_config``."""
+    from .simulate import Scenario, ScenarioError, default_scenario, validate_scenario
+
     read: list = []
     intr = _load_intrinsics(args.intrinsics, read)
     if args.scenario is None:
@@ -200,7 +195,11 @@ def _load_scenario(args, *, use_targets: bool) -> tuple[CameraIntrinsics, Scenar
             scenario = replace(scenario, seed=args.seed)
         except ValueError as exc:  # its message starts with "seed:"
             raise UsageError(f"--{exc}") from exc
-    validate_scenario(scenario, intr, use_targets=use_targets)
+    try:
+        validate_scenario(scenario, intr, use_targets=use_targets)
+    except ScenarioError as exc:
+        lines = ["invalid scenario:", *(f"  - {e}" for e in exc.errors)]
+        raise UsageError("\n".join(lines)) from exc
     return intr, scenario, read
 
 
@@ -335,6 +334,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import simulate_log, truth_to_dict
+
     use_targets = args.aim == "targets"
     intr, scenario, read = _load_scenario(args, use_targets=use_targets)
     if args.truth == "-" and args.output == "-":
@@ -360,6 +361,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment_a(args) -> int:
+    from .simulate import run_experiment_a
+
     intr, scenario, read = _load_scenario(args, use_targets=False)
     params = _params_from_args(args)
     try:
@@ -393,6 +396,8 @@ def cmd_experiment_a(args) -> int:
 
 
 def cmd_experiment_b(args) -> int:
+    from .simulate import run_experiment_b, summarize_goal_by_distance
+
     intr, scenario, read = _load_scenario(args, use_targets=True)
     params = _params_from_args(args)
     strategy = KeypointStrategy.from_name(args.strategy)
@@ -411,6 +416,8 @@ def cmd_experiment_b(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .simulate import NoiseModel, SubjectModel, synthesize_frame
+
     intr = _load_intrinsics(args.intrinsics, [])  # bench writes only to stdout
     params = _params_from_args(args)
     strategy = KeypointStrategy.from_name(args.strategy)
@@ -476,11 +483,6 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScenarioError as exc:
-        print("error: invalid scenario:", file=sys.stderr)
-        for e in exc.errors:
-            print(f"  - {e}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,10 +10,12 @@ import csv
 import io
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .simulate import AngleCellResult, GoalCellResult, GoalSummaryRow
+if TYPE_CHECKING:  # annotations only: writing reports needs no simulator
+    from .simulate import AngleCellResult, GoalCellResult, GoalSummaryRow
 
 ANGLE_CSV_COLUMNS = [
     "range_m",

@@ -24,7 +24,6 @@ import json
 import math
 import operator
 import reprlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -585,6 +584,8 @@ def _run_grid(run_cell, scenario: Scenario, intr: CameraIntrinsics, scoring,
     tasks = [(scenario, intr, params, scoring, i, j, frames) for i, j in cells]
     if jobs <= 1 or len(tasks) <= 1:
         return [run_cell(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
     # fork starts every worker at once, so no more than there are cells
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(run_cell, tasks))

@@ -415,12 +415,18 @@ def test_simulate_targets_mode(scenario_file, tmp_path):
 
 def test_simulate_invalid_scenario_lists_fields(tmp_path, capsys):
     sc = small_scenario()
-    bad = dict(sc.to_dict(), positions=[[1.5, 80.0]])
+    bad = dict(sc.to_dict(), positions=[[1.5, 80.0], [0.5, 0.0]])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     assert main(["simulate", "--scenario", str(path), "-o", str(tmp_path / "x")]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "positions[0]" in err
+    assert capsys.readouterr().err == (
+        "error: invalid scenario:\n"
+        "  - positions[0]: bearing 80.0 deg outside the camera's +/-34 deg field of view\n"
+        "  - positions[1] x direction (30.0, 0.0): face bbox leaves the image "
+        "(center 320,-159, size 231x307)\n"
+        "  - positions[1] x direction (45.0, -30.0): face bbox leaves the image "
+        "(center 320,-159, size 231x307)\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -643,6 +649,45 @@ def test_simulate_bad_path_leaves_the_other_file_as_it_was(bad, scenario_file, t
     assert len(err) == 1 and err[0].startswith("error: cannot write output")
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this pointray."""
+    src = str(Path(pointray.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+_WATCHED = ("pointray.simulate", "multiprocessing", "concurrent.futures")
+# Runs main on the arguments in a fresh interpreter, then prints its exit code
+# and which of the watched modules it loaded.
+_LOADED = f"""
+import json, sys
+from pointray.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in {_WATCHED!r} if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("estimate", []),
+    ("simulate", ["pointray.simulate"]),
+    ("experiment-a --jobs 1", ["pointray.simulate"]),
+    # the check sees a process pool when one starts
+    ("experiment-a --jobs 2", list(_WATCHED)),
+])
+def test_a_command_loads_only_the_modules_it_runs(command, loaded, noiseless_log,
+                                                  scenario_file, tmp_path):
+    argv = command.split()
+    if argv[0] == "estimate":
+        argv += ["-i", noiseless_log, "-o", str(tmp_path / "out.jsonl")]
+    elif argv[0] == "simulate":
+        argv += ["--scenario", scenario_file, "-o", str(tmp_path / "out.jsonl")]
+    else:
+        argv += ["--scenario", scenario_file, "--frames", "1", "--outdir", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, loaded], proc.stderr
+
+
 def test_closed_stdout_ends_estimate_without_a_traceback(tmp_path):
     # ~1,000 records, far more than a pipe buffers, so estimate is still
     # writing when its reader goes away
@@ -651,12 +696,9 @@ def test_closed_stdout_ends_estimate_without_a_traceback(tmp_path):
         for frame, _ in simulate_log(small_scenario(NOISELESS, frames=250),
                                      default_intrinsics()):
             f.write(frame_to_line(frame) + "\n")
-    src = str(Path(pointray.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     with open(tmp_path / "err.txt", "w") as err, subprocess.Popen(
         [sys.executable, "-m", "pointray", "estimate", "-i", str(log)],
-        stdout=subprocess.PIPE, stderr=err, env=env,
+        stdout=subprocess.PIPE, stderr=err, env=_fresh_env(),
     ) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()

@@ -452,7 +452,8 @@ def test_grid_starts_no_more_workers_than_cells(intr, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr("pointray.simulate.ProcessPoolExecutor", RecordingPool)
+    # _run_grid imports the pool only when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     sc = small_scenario(frames=1)
     serial = run_experiment_a(sc, intr)
     capped = run_experiment_a(sc, intr, jobs=1000)
