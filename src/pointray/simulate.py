@@ -584,7 +584,7 @@ def _run_grid(run_cell, scenario: Scenario, intr: CameraIntrinsics, scoring,
     tasks = [(scenario, intr, params, scoring, i, j, frames) for i, j in cells]
     if jobs <= 1 or len(tasks) <= 1:
         return [run_cell(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+    from concurrent.futures import ProcessPoolExecutor  # here: a serial run loads no pool
 
     # fork starts every worker at once, so no more than there are cells
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
