@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import reprlib
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -234,33 +233,15 @@ def _roi_layout(
     return u, v, z, w_px, h_px
 
 
-_last_plan: tuple = ((), None)  # the last call's arguments and their plan
-
-
-def _pose_plan(subject, position, direction, target, noise: NoiseModel,
-               intr: CameraIntrinsics) -> tuple[GroundTruth, tuple, tuple, float]:
+def _pose_plan(subject, position, noise: NoiseModel, intr: CameraIntrinsics, *,
+               direction=None, target=None) -> tuple[GroundTruth, tuple, tuple, float]:
     """What every frame of one pose shares: its truth, the face and hand
     layouts from ``_roi_layout`` and the depth of the wall behind the
-    subject. Raises ValueError when the pose cannot be rendered.
-
-    The last plan is kept while every argument is the very object it was.
-    Identity, not equality, keys it: bearing -0.0 equals 0.0 but puts the
-    eye at x = -0.0, which the truth writes. Pose and aim go in as tuples,
-    so a list changed in place since the last call is a new key. The key
-    and its plan are read and replaced as one pair, so threads that race
-    here at worst build a plan twice.
-    """
-    global _last_plan
-    args = (subject, tuple(position), direction if direction is None else tuple(direction),
-            target if target is None else tuple(target), noise, intr)
-    key, plan = _last_plan
-    if plan is None or not all(map(operator.is_, args, key)):
-        truth = _pose_geometry(*args[:4])
-        face = _roi_layout(truth.eye, FACE_SIZE_M, FACE, noise, intr)
-        hand = _roi_layout(truth.fingertip, HAND_SIZE_M, HAND, noise, intr)
-        plan = truth, face, hand, truth.eye[1] + WALL_OFFSET_M
-        _last_plan = args, plan
-    return plan
+    subject. Raises ValueError when the pose cannot be rendered."""
+    truth = _pose_geometry(subject, position, direction, target)
+    face = _roi_layout(truth.eye, FACE_SIZE_M, FACE, noise, intr)
+    hand = _roi_layout(truth.fingertip, HAND_SIZE_M, HAND, noise, intr)
+    return truth, face, hand, truth.eye[1] + WALL_OFFSET_M
 
 
 def _synthesize_roi(
@@ -357,14 +338,21 @@ def synthesize_frame(
     intr: CameraIntrinsics,
     rng: np.random.Generator,
     timestamp: float = 0.0,
+    plan: tuple | None = None,
 ) -> tuple[DetectionFrame, GroundTruth]:
     """Render one detection frame for a pose pointing along a direction
     (pitch/yaw) or at a floor target (x, y).
 
-    Successive frames of one pose share its plan and so its ``GroundTruth``,
-    whose points are tuples. An unrenderable pose raises ValueError before
+    ``plan`` is what ``_pose_plan`` returns for the same arguments.
+    ``_cell_frames`` and ``simulate_log`` build it once per pose and pass it
+    in, so that pose's frames share one ``GroundTruth``, whose points are
+    tuples. It is optional so that one-frame-at-a-time callers (``bench``,
+    the benchmark's input builders) keep the plain call; without it the
+    frame builds its own. An unrenderable pose raises ValueError before
     anything is drawn from ``rng``."""
-    truth, face, hand, wall_z = _pose_plan(subject, position, direction, target, noise, intr)
+    if plan is None:
+        plan = _pose_plan(subject, position, noise, intr, direction=direction, target=target)
+    truth, face, hand, wall_z = plan
     face_roi = _synthesize_roi(face, FACE, wall_z, noise, rng)
     hand_roi = _synthesize_roi(hand, HAND, wall_z, noise, rng)
     frame = DetectionFrame(timestamp, face_roi, (hand_roi,))
@@ -405,8 +393,7 @@ def validate_scenario(scenario: Scenario, intr: CameraIntrinsics, *, use_targets
             continue
         for aim in aims:
             try:
-                _pose_plan(scenario.subject, (range_m, bearing_deg), aim.get("direction"),
-                           aim.get("target"), scenario.noise, intr)
+                _pose_plan(scenario.subject, (range_m, bearing_deg), scenario.noise, intr, **aim)
             except ValueError as exc:
                 [(kind, value)] = aim.items()
                 errors.append(f"positions[{i}] x {kind} {value}: {exc}")
@@ -503,10 +490,12 @@ def _cell_frames(scenario: Scenario, intr: CameraIntrinsics, pos_idx: int, aim_i
     aims = _aims(scenario, use_targets)
     stream = _STREAM_EXPERIMENT_B if use_targets else _STREAM_EXPERIMENT_A
     rng = np.random.default_rng([scenario.seed, stream, pos_idx * len(aims) + aim_idx])
+    position, aim = scenario.positions[pos_idx], aims[aim_idx]
+    plan = _pose_plan(scenario.subject, position, scenario.noise, intr, **aim)
     for k in range(frames):
         yield synthesize_frame(
-            scenario.subject, scenario.positions[pos_idx], **aims[aim_idx],
-            noise=scenario.noise, intr=intr, rng=rng, timestamp=k / FRAME_RATE_HZ,
+            scenario.subject, position, **aim, noise=scenario.noise, intr=intr, rng=rng,
+            timestamp=k / FRAME_RATE_HZ, plan=plan,
         )
 
 
@@ -662,14 +651,15 @@ def simulate_log(
     valid detector stream.
     """
     rng = np.random.default_rng([scenario.seed, _STREAM_LOG])
-    grid = itertools.product(
-        scenario.positions, _aims(scenario, use_targets), range(scenario.frames_per_pose)
-    )
-    for frame_no, (position, aim, _) in enumerate(grid):
-        yield synthesize_frame(
-            scenario.subject, position, **aim, noise=scenario.noise, intr=intr,
-            rng=rng, timestamp=frame_no / FRAME_RATE_HZ,
-        )
+    frame_no = 0
+    for position, aim in itertools.product(scenario.positions, _aims(scenario, use_targets)):
+        plan = _pose_plan(scenario.subject, position, scenario.noise, intr, **aim)
+        for _ in range(scenario.frames_per_pose):
+            yield synthesize_frame(
+                scenario.subject, position, **aim, noise=scenario.noise, intr=intr,
+                rng=rng, timestamp=frame_no / FRAME_RATE_HZ, plan=plan,
+            )
+            frame_no += 1
 
 
 def truth_to_dict(truth: GroundTruth, timestamp: float) -> dict:

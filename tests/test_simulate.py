@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import json
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from oracles import (
     goal_cell_summary_reference, pose_geometry_reference, ray_plane_oracle,
     synthesize_frame_reference,
 )
+from pointray import simulate
 from pointray.frames import RoiPointSet, dumps_line, frame_to_line
 from pointray.geometry import default_intrinsics, from_json
 from pointray.pointing import EstimatorParams, angular_error_deg, estimate_frame
@@ -26,6 +29,7 @@ from pointray.simulate import (
     ScenarioError,
     SubjectModel,
     _pose_geometry,
+    _pose_plan,
     default_scenario,
     direction_unit,
     run_experiment_a,
@@ -137,8 +141,8 @@ def _renderable(position, aim) -> bool:
     return True
 
 
-# Each position is one tuple object that all its aims share, as in a
-# scenario's grid; bearings 0.0 and -0.0 are different poses.
+# Every renderable (position, aim) pair of a small grid; bearings 0.0 and
+# -0.0 are different poses.
 _POSES = [
     (position, aim)
     for position in [(r, b) for r in (1.5, 2.5, 4.0, 5.5) for b in (0.0, -0.0, 12.5, -20.0)]
@@ -147,15 +151,20 @@ _POSES = [
 ]
 
 
-def _assert_renders_like_reference(noise, seed, poses):
+def _assert_renders_like_reference(noise, seed, poses, *, pass_plans=False):
     """Render ``poses`` in turn from twin generators, with ``synthesize_frame``
     and with the reference renderer: the frame and truth bytes and the
-    generator states must agree after every frame."""
+    generator states must agree after every frame. With ``pass_plans``, each
+    distinct pose's plan is built once, before any frame, and passed in to
+    every frame of that pose."""
+    plans = {repr(pose): _pose_plan(SUBJECT, pose[0], noise, _INTR, **pose[1])
+             for pose in poses} if pass_plans else {}
     ours, ref = rng(seed), rng(seed)
     for k, (position, aim) in enumerate(poses):
         t = k / 30.0
         frame, truth = synthesize_frame(SUBJECT, position, **aim, noise=noise, intr=_INTR,
-                                        rng=ours, timestamp=t)
+                                        rng=ours, timestamp=t,
+                                        plan=plans.get(repr((position, aim))))
         want_frame, want_truth = synthesize_frame_reference(
             SUBJECT, position, **aim, noise=noise, intr=_INTR, rng=ref, timestamp=t,
         )
@@ -179,20 +188,23 @@ def _assert_renders_like_reference(noise, seed, poses):
     seed=st.integers(0, 2**32 - 1),
     pool=st.lists(st.integers(0, len(_POSES) - 1), min_size=1, max_size=3),
     order=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+    pass_plans=st.booleans(),
 )
-def test_synthesize_frame_matches_the_reference_renderer(noise, seed, pool, order):
+def test_synthesize_frame_matches_the_reference_renderer(noise, seed, pool, order, pass_plans):
     # poses drawn from a pool of up to three, so that a pose recurs
     # after others have been rendered
     poses = [_POSES[pool[i % len(pool)]] for i in order]
-    _assert_renders_like_reference(noise, seed, poses)
+    _assert_renders_like_reference(noise, seed, poses, pass_plans=pass_plans)
 
 
 @pytest.mark.parametrize("aim", [{"direction": (30.0, 0.0)}, {"target": (0.5, 1.0)}],
                          ids=["direction", "target"])
 def test_signed_zero_bearings_are_different_poses(aim):
-    # A, A, B, A where A and B differ only in the sign of a zero bearing
+    # A, A, B, A where A and B differ only in the sign of a zero bearing,
+    # which the truth writes as the sign of the eye's x
     a, b = ((2.0, 0.0), aim), ((2.0, -0.0), aim)
-    _assert_renders_like_reference(NoiseModel(), 5, [a, a, b, a])
+    for pass_plans in (False, True):
+        _assert_renders_like_reference(NoiseModel(), 5, [a, a, b, a], pass_plans=pass_plans)
     _, truth = synthesize_frame(SUBJECT, (2.0, -0.0), **aim, noise=NoiseModel(), intr=_INTR,
                                 rng=rng())
     assert math.copysign(1.0, truth.eye[0]) == -1.0
@@ -226,18 +238,20 @@ def test_pose_geometry_matches_the_numpy_reference_bit_for_bit(position, directi
 
 
 def test_frames_of_a_pose_share_a_read_only_truth(intr):
-    pose, noise, g = (2.5, 10.0), NoiseModel(), rng(4)
+    pose, aim, noise, g = (2.5, 10.0), {"direction": (35.0, 10.0)}, NoiseModel(), rng(4)
+    plan = _pose_plan(SUBJECT, pose, noise, intr, **aim)
     (_, t1), (_, t2) = (
-        synthesize_frame(SUBJECT, pose, direction=(35.0, 10.0), noise=noise, intr=intr, rng=g)
+        synthesize_frame(SUBJECT, pose, **aim, noise=noise, intr=intr, rng=g, plan=plan)
         for _ in range(2)
     )
-    assert t1 is t2
+    assert t1 is t2 is plan[0]
     for point in (t1.eye, t1.fingertip):
         with pytest.raises(TypeError):
             point[0] = 0.0
 
 
 def test_a_changed_pose_list_is_rendered_anew(intr):
+    # lists changed in place between two calls: the second frame is the new pose's
     position, direction, noise = [2.5, 10.0], [35.0, 10.0], NoiseModel()
     _, before = synthesize_frame(SUBJECT, position, direction=direction, noise=noise,
                                  intr=intr, rng=rng())
@@ -461,6 +475,34 @@ def test_grid_starts_no_more_workers_than_cells(intr, monkeypatch):
     assert sizes == [4, 3]  # 2 x 2 cells each
     for a, b in zip(serial, capped):
         assert np.array_equal(a.err_deg, b.err_deg, equal_nan=True)
+
+
+def test_a_pose_plan_is_built_once_per_pose(intr, monkeypatch):
+    built = []
+
+    def counting_plan(*args, **kwargs):
+        built.append(args[1])
+        return _pose_plan(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_pose_plan", counting_plan)
+    sc = small_scenario(frames=5)  # 2 positions x 2 aims of each kind
+    assert len(list(simulate_log(sc, intr))) == 20
+    assert built == [(1.5, 0.0)] * 2 + [(3.5, 10.0)] * 2
+    one_cell = dataclasses.replace(sc, positions=sc.positions[1:], directions=sc.directions[:1],
+                                   floor_targets=sc.floor_targets[:1])
+    for run in (run_experiment_a, run_experiment_b):
+        built.clear()
+        run(one_cell, intr)
+        assert built == [(3.5, 10.0)]
+
+
+def test_no_function_in_the_package_rebinds_a_module_global():
+    # module state a call could change would make a call's output depend on
+    # the calls before it
+    for path in sorted(Path(simulate.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        names = [n.names for n in ast.walk(tree) if isinstance(n, ast.Global)]
+        assert not names, f"{path.name} rebinds module globals {names}"
 
 
 def test_experiment_b_noiseless(intr):
