@@ -396,7 +396,7 @@ def cmd_experiment_a(args) -> int:
 
 
 def cmd_experiment_b(args) -> int:
-    from .simulate import run_experiment_b, summarize_goal_by_distance
+    from .simulate import run_experiment_b
 
     intr, scenario, read = _load_scenario(args, use_targets=True)
     params = _params_from_args(args)
@@ -409,7 +409,7 @@ def cmd_experiment_b(args) -> int:
         frames_per_cell=args.frames, jobs=args.jobs,
     )
     write_text(outdir / "goal_cells.csv", goal_cells_to_csv(cells))
-    table = format_goal_table(summarize_goal_by_distance(cells), strategy.value)
+    table = format_goal_table(cells, strategy.value)
     write_text(outdir / "goal_table.txt", table)
     print(table, end="", file=sys.stderr)
     return EXIT_OK

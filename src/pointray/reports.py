@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # annotations only: writing reports needs no simulator
-    from .simulate import AngleCellResult, GoalCellResult, GoalSummaryRow
+    from .simulate import AngleCellResult, GoalCellResult
 
 ANGLE_CSV_COLUMNS = [
     "range_m",
@@ -100,29 +100,42 @@ def goal_cells_to_csv(cells: list[GoalCellResult]) -> str:
     return buf.getvalue()
 
 
+def _pool(cells, key, errors: str, hits: str) -> dict:
+    """Group ``cells`` by ``key(cell)`` in one pass. Each group maps to its
+    cells' per-frame ``errors`` joined with NaN dropped, its frame total and
+    its ``hits`` total."""
+    groups: dict = {}
+    for c in cells:
+        groups.setdefault(key(c), []).append(c)
+    pooled = {}
+    for k, group in groups.items():
+        errs = np.concatenate([getattr(c, errors) for c in group])
+        pooled[k] = (errs[~np.isnan(errs)], sum(c.frames for c in group),
+                     sum(getattr(c, hits) for c in group))
+    return pooled
+
+
 def format_angle_summary(cells: list[AngleCellResult], strategies) -> str:
     """Experiment A summary: mean angular error and yield per range."""
     lines = ["Angular error by range (mean over bearings and directions)", ""]
     header = f"{'range (m)':>10}" + "".join(f"  {s.value:>10}" for s in strategies)
     lines.append(header + "      yield (" + "/".join(s.value for s in strategies) + ")")
-    ranges = sorted({c.range_m for c in cells})
-    for r in ranges:
+    pooled = _pool(cells, lambda c: (c.range_m, c.strategy), "err_deg", "estimates")
+    for r in sorted({r for r, _ in pooled}):
         row = f"{r:>10.1f}"
         yields = []
         for s in strategies:
-            group = [c for c in cells if c.range_m == r and c.strategy == s.value]
-            errs = np.concatenate([c.err_deg for c in group]) if group else np.array([])
-            errs = errs[~np.isnan(errs)]
-            row += f"  {np.mean(errs):>10.2f}" if errs.size else f"  {'n/a':>10}"
-            total = sum(c.frames for c in group)
-            got = sum(c.estimates for c in group)
+            errs, total, got = pooled.get((r, s.value), (np.array([]), 0, 0))
+            row += f"  {errs.mean():>10.2f}" if errs.size else f"  {'n/a':>10}"
             yields.append(f"{got / total:.2f}" if total else "n/a")
         lines.append(row + "      " + "/".join(yields))
     return "\n".join(lines) + "\n"
 
 
-def format_goal_table(rows: list[GoalSummaryRow], strategy: str) -> str:
-    """Goal-error table with the reference hardware figures alongside."""
+def format_goal_table(cells: list[GoalCellResult], strategy: str) -> str:
+    """Goal-error table with the reference hardware figures alongside: per
+    distance, the errors of every frame with a goal, over all bearings and
+    targets, and the share of frames with a goal."""
     reference = {d: (m, s) for d, m, s in REFERENCE_GOAL_ERROR_CM}
     lines = [
         f"Goal-point error vs. distance (strategy: {strategy})",
@@ -131,13 +144,18 @@ def format_goal_table(rows: list[GoalSummaryRow], strategy: str) -> str:
         f"  {'ref mean (cm)':>13}  {'ref std (cm)':>12}",
         "-" * 72,
     ]
-    for row in rows:
-        ref = reference.get(row.distance_m)
+    pooled = _pool(cells, lambda c: c.range_m, "err_cm", "goals")
+    for distance in sorted(pooled):
+        errs, frames, goals = pooled[distance]
+        mean = errs.mean() if errs.size else math.nan
+        std = errs.std(ddof=1) if errs.size > 1 else math.nan
+        yield_rate = goals / frames if frames else 0.0
+        ref = reference.get(distance)
         ref_m = f"{ref[0]:.1f}" if ref else "-"
         ref_s = f"{ref[1]:.1f}" if ref else "-"
         lines.append(
-            f"{row.distance_m:>12.1f}  {row.mean_cm:>10.1f}  {row.std_cm:>9.1f}"
-            f"  {row.yield_rate:>6.3f}  {ref_m:>13}  {ref_s:>12}"
+            f"{distance:>12.1f}  {mean:>10.1f}  {std:>9.1f}"
+            f"  {yield_rate:>6.3f}  {ref_m:>13}  {ref_s:>12}"
         )
     lines.append("-" * 72)
     lines.append("Reference columns: accuracy reported for the original hardware")
@@ -150,6 +168,12 @@ def format_goal_table(rows: list[GoalSummaryRow], strategy: str) -> str:
 # ---------------------------------------------------------------------------
 
 _PALETTE = ((69, 117, 180), (255, 255, 191), (215, 48, 39))  # blue -> yellow -> red
+
+
+def _escape(text: str) -> str:
+    """XML character data for ``text``; xml.sax.saxutils.escape would load
+    urllib.request (~7 MB) into every command."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _color(t: float) -> str:
@@ -208,7 +232,7 @@ def polar_heatmap_svg(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{width / 2:.0f}" y="24" font-family="sans-serif" font-size="16" '
-        f'text-anchor="middle">{title}</text>',
+        f'text-anchor="middle">{_escape(title)}</text>',
     ]
 
     for i, r in enumerate(ranges):

@@ -468,21 +468,6 @@ class GoalCellResult:
         return self.goals / self.frames if self.frames else 0.0
 
 
-@dataclass(frozen=True)
-class GoalSummaryRow:
-    """Per-distance aggregation across targets, for the goal-error table."""
-
-    distance_m: float
-    mean_cm: float
-    std_cm: float
-    frames: int
-    goals: int
-
-    @property
-    def yield_rate(self) -> float:
-        return self.goals / self.frames if self.frames else 0.0
-
-
 def _cell_frames(scenario: Scenario, intr: CameraIntrinsics, pos_idx: int, aim_idx: int,
                  frames: int, *, use_targets: bool):
     """Yield one grid cell's (DetectionFrame, GroundTruth) pairs at 30 Hz from
@@ -615,28 +600,6 @@ def run_experiment_b(
     """Floor-goal accuracy over every (position, floor target) grid cell."""
     return _run_grid(_run_cell_b, scenario, intr, strategy, params,
                      frames_per_cell, jobs, use_targets=True)
-
-
-def summarize_goal_by_distance(cells: list[GoalCellResult]) -> list[GoalSummaryRow]:
-    """Pool per-frame goal errors across targets at each subject distance."""
-    by_distance: dict[float, list[GoalCellResult]] = {}
-    for cell in cells:
-        by_distance.setdefault(cell.range_m, []).append(cell)
-    rows = []
-    for distance in sorted(by_distance):
-        group = by_distance[distance]
-        errs = np.concatenate([c.err_cm for c in group])
-        errs = errs[~np.isnan(errs)]
-        rows.append(
-            GoalSummaryRow(
-                distance_m=distance,
-                mean_cm=float(errs.mean()) if errs.size else float("nan"),
-                std_cm=float(errs.std(ddof=1)) if errs.size > 1 else float("nan"),
-                frames=sum(c.frames for c in group),
-                goals=sum(c.goals for c in group),
-            )
-        )
-    return rows
 
 
 def simulate_log(

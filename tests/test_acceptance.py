@@ -23,6 +23,7 @@ from pointray.pointing import (
     estimate_frame,
     ground_intersection_world,
 )
+from pointray.reports import format_goal_table
 from pointray.roi import KeypointStrategy, dbscan_depth
 from pointray.simulate import (
     NoiseModel,
@@ -31,7 +32,6 @@ from pointray.simulate import (
     default_scenario,
     run_experiment_a,
     run_experiment_b,
-    summarize_goal_by_distance,
     synthesize_frame,
 )
 from pointray.tracking import GateParams, GoalGate
@@ -214,20 +214,20 @@ def test_criterion_07_goal_table_shape():
         scenario, INTR, strategy=KeypointStrategy.MEAN_DEPTH, params=PARAMS,
         frames_per_cell=100, jobs=1,
     )
-    rows = summarize_goal_by_distance(cells)
-    assert [r.distance_m for r in rows] == [1.5, 2.5, 3.5, 4.5, 5.5]
-    by_distance = {r.distance_m: r.mean_cm for r in rows}
+    table = format_goal_table(cells, "mean")
+    lines = table.split("\n")
+    start = lines.index("-" * 72) + 1
+    rows = [line.split() for line in lines[start:lines.index("-" * 72, start)]]
+    by_distance = {float(row[0]): float(row[1]) for row in rows}
+    assert list(by_distance) == [1.5, 2.5, 3.5, 4.5, 5.5]
     assert by_distance[5.5] > by_distance[1.5], (
         f"goal error at 5.5 m ({by_distance[5.5]:.1f} cm) not above "
         f"1.5 m ({by_distance[1.5]:.1f} cm)"
     )
-    means = [r.mean_cm for r in rows]
+    means = list(by_distance.values())
     assert all(b >= a for a, b in zip(means, means[1:])), (
         f"goal error not monotone over distance: {means}"
     )
-    from pointray.reports import format_goal_table
-
-    table = format_goal_table(rows, "mean")
     for ref in ("16.1", "18.1", "14.5", "22.4", "48.4"):
         assert ref in table, f"reference value {ref} missing from the report"
     report(7, "goal table reproduces the qualitative pattern "

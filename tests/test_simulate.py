@@ -35,7 +35,6 @@ from pointray.simulate import (
     run_experiment_a,
     run_experiment_b,
     simulate_log,
-    summarize_goal_by_distance,
     synthesize_frame,
     truth_to_dict,
     validate_scenario,
@@ -508,11 +507,10 @@ def test_no_function_in_the_package_rebinds_a_module_global():
 def test_experiment_b_noiseless(intr):
     sc = small_scenario(NOISELESS)
     cells = run_experiment_b(sc, intr, strategy=KeypointStrategy.MEAN_DEPTH)
-    rows = summarize_goal_by_distance(cells)
-    assert [r.distance_m for r in rows] == [1.5, 3.5]
-    for r in rows:
-        assert r.mean_cm < 0.1
-        assert r.yield_rate == 1.0
+    assert sorted({c.range_m for c in cells}) == [1.5, 3.5]
+    for c in cells:
+        assert c.mean_err_cm < 0.1
+        assert c.yield_rate == 1.0
 
 
 def test_experiment_b_serial_equals_parallel(intr):
